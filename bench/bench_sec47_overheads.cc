@@ -5,7 +5,9 @@
  * fine-tuning (paper: 51.2 ms per 10 windows), gSB creation (paper:
  * < 1 us of metadata work), and admission-control batch processing
  * (paper: 0.8 ms per 1,000 actions) — plus the model storage cost
- * (paper: 2.2 MB per vSSD).
+ * (paper: 2.2 MB per vSSD) and the behaviour-cloning step, our
+ * stand-in for the paper's offline pre-training and the largest
+ * per-agent cost of a teacher window.
  */
 #include <benchmark/benchmark.h>
 
@@ -62,6 +64,33 @@ BM_PpoFineTune(benchmark::State &state)
     state.SetLabel("paper: 51.2 ms per 10 windows");
 }
 BENCHMARK(BM_PpoFineTune);
+
+void
+BM_BcImitate(benchmark::State &state)
+{
+    const FleetIoConfig cfg = benchCfg();
+    FleetIoAgent agent(0, cfg, 45);
+    Rng rng(8);
+    const std::vector<std::size_t> actions =
+        agent.mapper().encode(agent.decide(rl::Vector(cfg.stateDim())));
+    auto randomState = [&] {
+        rl::Vector s(cfg.stateDim());
+        for (auto &x : s)
+            x = rng.uniform(-1, 1);
+        return s;
+    };
+    // A replay the size a 400-window teacher phase leaves behind.
+    for (int i = 0; i < 400; ++i)
+        agent.imitate(randomState(), actions, 1.0);
+    const rl::Vector s = randomState();
+    for (auto _ : state) {
+        agent.imitate(s, actions, 1.0);
+        benchmark::DoNotOptimize(agent.policy().params().rawValues().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel("one teacher-window sample: 2 minibatch updates");
+}
+BENCHMARK(BM_BcImitate);
 
 void
 BM_GsbCreation(benchmark::State &state)

@@ -1,5 +1,11 @@
 #include "src/core/agent.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
+
+#include "src/rl/minibatch.h"
+
 namespace fleetio {
 
 FleetIoAgent::FleetIoAgent(VssdId vssd, const FleetIoConfig &cfg,
@@ -57,14 +63,28 @@ FleetIoAgent::imitate(const rl::Vector &state,
     constexpr std::size_t kBcCapacity = 4096;
     constexpr int kBcUpdatesPerSample = 2;
 
-    if (bc_batch_.size() < kBcCapacity) {
-        // fleetio-analyze: allow(hot-alloc): BC batch grows only during pre-train imitation windows
-        bc_batch_.push_back(BcSample{state, actions, value_target});
+    const std::size_t dim = net_.stateDim();
+    const std::size_t heads = mapper_.spec().numHeads();
+    assert(state.size() == dim);
+    assert(actions.size() == heads);
+    std::size_t row = bc_targets_.size();
+    if (row < kBcCapacity) {
+        // fleetio-analyze: allow(hot-alloc): BC replay grows only during pre-train imitation windows
+        bc_targets_.push_back(value_target);
+        bc_states_.resize(bc_targets_.size() * dim);
+        bc_actions_.resize(bc_targets_.size() * heads);
     } else {
-        bc_batch_[bc_write_++ % kBcCapacity] =
-            BcSample{state, actions, value_target};
+        row = bc_write_++ % kBcCapacity;
+        bc_targets_[row] = value_target;
     }
-    if (bc_batch_.size() < cfg_.ppo.minibatch)
+    std::copy(state.begin(), state.end(),
+              bc_states_.begin() + std::ptrdiff_t(row * dim));
+    std::copy(actions.begin(), actions.end(),
+              bc_actions_.begin() + std::ptrdiff_t(row * heads));
+
+    const std::size_t rows = bc_targets_.size();
+    const std::size_t mb = cfg_.ppo.minibatch;
+    if (rows < mb)
         return;
 
     if (!bc_opt_) {
@@ -73,17 +93,27 @@ FleetIoAgent::imitate(const rl::Vector &state,
         // fleetio-analyze: allow(hot-alloc): BC optimizer built once, lazily, at first imitation
         bc_opt_ = std::make_unique<rl::Adam>(net_.params(), acfg);
     }
-    const double inv_b = 1.0 / double(cfg_.ppo.minibatch);
+    bc_draws_.resize(mb);
+    const double inv_b = 1.0 / double(mb);
+    rl::MinibatchPass pass(net_);
     for (int u = 0; u < kBcUpdatesPerSample; ++u) {
         net_.params().zeroGrads();
-        for (std::size_t k = 0; k < cfg_.ppo.minibatch; ++k) {
-            const BcSample &s =
-                bc_batch_[rng_.uniformInt(bc_batch_.size())];
-            const auto ev = net_.evaluate(s.state, s.actions);
-            // Minimize -logP(expert) + 0.5 (V - target)^2.
-            const double dvalue = (ev.value - s.value_target) * inv_b;
-            net_.backward(s.actions, -inv_b, 0.0, dvalue);
+        // Draw the whole minibatch first: the pass consumes no RNG, so
+        // the draw sequence is that of one draw per evaluated sample.
+        pass.reset(mb);
+        for (std::size_t k = 0; k < mb; ++k) {
+            const std::size_t r = rng_.uniformInt(rows);
+            bc_draws_[k] = r;
+            pass.setRow(k, &bc_states_[r * dim], &bc_actions_[r * heads]);
         }
+        pass.forward();
+        // Minimize -logP(expert) + 0.5 (V - target)^2.
+        for (std::size_t k = 0; k < mb; ++k) {
+            const double dvalue =
+                (pass.eval(k).value - bc_targets_[bc_draws_[k]]) * inv_b;
+            pass.setLossGrad(k, -inv_b, 0.0, dvalue);
+        }
+        pass.backward();
         bc_opt_->step();
     }
 }

@@ -88,6 +88,10 @@ class FleetIoAgent
     const ActionMapper &mapper() const { return mapper_; }
     const rl::PpoTrainer &trainer() const { return trainer_; }
 
+    /** The behaviour-cloning optimizer; null before the first
+     *  imitate() update. */
+    const rl::Adam *imitationOptimizer() const { return bc_opt_.get(); }
+
     /** Diagnostics of the most recent decide() (watchdog signals). */
     double lastEntropy() const { return last_entropy_; }
     double lastLogProb() const { return last_log_prob_; }
@@ -121,13 +125,6 @@ class FleetIoAgent
     std::uint64_t decisions() const { return decisions_; }
 
   private:
-    struct BcSample
-    {
-        rl::Vector state;
-        std::vector<std::size_t> actions;
-        double value_target;
-    };
-
     VssdId vssd_;
     const FleetIoConfig &cfg_;
     ActionMapper mapper_;
@@ -135,8 +132,13 @@ class FleetIoAgent
     rl::PpoTrainer trainer_;
     rl::RolloutBuffer rollout_;
     Rng rng_;
-    std::vector<BcSample> bc_batch_;
+    // Behaviour-cloning replay: flat rows of stateDim() states,
+    // numHeads() actions and one value target, grown on demand.
+    std::vector<double> bc_states_;
+    std::vector<std::size_t> bc_actions_;
+    std::vector<double> bc_targets_;
     std::size_t bc_write_ = 0;
+    std::vector<std::size_t> bc_draws_;  ///< one minibatch of row ids
     std::unique_ptr<rl::Adam> bc_opt_;
 
     double alpha_;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/rl/simd.h"
+
 namespace fleetio::rl {
 
 Adam::Adam(ParameterStore &store) : Adam(store, Config{}) {}
@@ -51,7 +53,26 @@ Adam::step()
     ++t_;
     const double bc1 = 1.0 - std::pow(cfg_.beta1, double(t_));
     const double bc2 = 1.0 - std::pow(cfg_.beta2, double(t_));
-    for (std::size_t i = 0; i < p.size(); ++i) {
+    // Two parameters per iteration, each lane with the scalar tail's
+    // operation order (sqrtpd / divpd round as sqrtsd / divsd do).
+    using namespace simd;
+    const V2 b1 = set1(cfg_.beta1), c1 = set1(1.0 - cfg_.beta1);
+    const V2 b2 = set1(cfg_.beta2), c2 = set1(1.0 - cfg_.beta2);
+    const V2 vbc1 = set1(bc1), vbc2 = set1(bc2);
+    const V2 lr = set1(cfg_.lr), eps = set1(cfg_.eps);
+    std::size_t i = 0;
+    for (; i + 2 <= p.size(); i += 2) {
+        const V2 gi = load(&g[i]);
+        const V2 mi = add(mul(b1, load(&m_[i])), mul(c1, gi));
+        const V2 vi = add(mul(b2, load(&v_[i])), mul(mul(c2, gi), gi));
+        store(&m_[i], mi);
+        store(&v_[i], vi);
+        const V2 m_hat = div(mi, vbc1);
+        const V2 v_hat = div(vi, vbc2);
+        store(&p[i], sub(load(&p[i]), div(mul(lr, m_hat),
+                                          add(sqrt(v_hat), eps))));
+    }
+    for (; i < p.size(); ++i) {
         m_[i] = cfg_.beta1 * m_[i] + (1.0 - cfg_.beta1) * g[i];
         v_[i] = cfg_.beta2 * v_[i] + (1.0 - cfg_.beta2) * g[i] * g[i];
         const double m_hat = m_[i] / bc1;

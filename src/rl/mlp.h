@@ -31,6 +31,10 @@ class Linear
     std::size_t inSize() const { return in_; }
     std::size_t outSize() const { return out_; }
 
+    /** Store offsets of W (row-major [out][in]) and b. */
+    std::size_t weightOffset() const { return w_off_; }
+    std::size_t biasOffset() const { return b_off_; }
+
     /** y = W x + b. */
     Vector forward(const Vector &x) const;
 
@@ -59,6 +63,7 @@ class Mlp
 
     std::size_t inSize() const { return in_; }
     std::size_t outSize() const { return out_; }
+    const std::vector<Linear> &layers() const { return layers_; }
 
     /** Forward pass; caches pre/post-activation values. */
     Vector forward(const Vector &x);

@@ -76,12 +76,20 @@ class PolicyNetwork
      *   L = dlogp * logP(a) + dentropy * H + dvalue * V
      * into the parameter store. @pre the immediately preceding forward
      * (act or evaluate) used the same @p state and @p actions.
+     *
+     * Training runs through MinibatchPass (src/rl/minibatch.h); this
+     * per-sample path is the reference it must match bit for bit.
      */
     void backward(const std::vector<std::size_t> &actions, double dlogp,
                   double dentropy, double dvalue);
 
     ParameterStore &params() { return store_; }
     const ParameterStore &params() const { return store_; }
+
+    /** Layers, for the minibatch kernel (src/rl/minibatch.h). */
+    const Mlp &trunk() const { return trunk_; }
+    const std::vector<Linear> &heads() const { return heads_; }
+    const Linear &valueHead() const { return value_head_; }
 
     bool save(const std::string &path) const
     {

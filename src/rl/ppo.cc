@@ -1,9 +1,12 @@
 #include "src/rl/ppo.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <vector>
+
+#include "src/rl/minibatch.h"
 
 namespace fleetio::rl {
 
@@ -34,6 +37,7 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
 
     double sum_pl = 0.0, sum_vl = 0.0, sum_h = 0.0, sum_kl = 0.0;
     std::size_t count = 0;
+    MinibatchPass pass(net_);
 
     for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
         // Fisher-Yates shuffle with our deterministic RNG.
@@ -46,16 +50,27 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
              start += cfg_.minibatch) {
             const std::size_t end =
                 std::min(start + cfg_.minibatch, n);
-            const double inv_b = 1.0 / double(end - start);
+            const std::size_t rows = end - start;
+            const double inv_b = 1.0 / double(rows);
             net_.params().zeroGrads();
 
-            for (std::size_t k = start; k < end; ++k) {
-                const std::size_t i = order[k];
+            pass.reset(rows);
+            for (std::size_t k = 0; k < rows; ++k) {
+                const Transition &t = rollout[order[start + k]];
+                assert(t.state.size() == net_.stateDim());
+                assert(t.actions.size() ==
+                       net_.actionSpec().numHeads());
+                pass.setRow(k, t.state.data(), t.actions.data());
+            }
+            pass.forward();
+
+            for (std::size_t k = 0; k < rows; ++k) {
+                const std::size_t i = order[start + k];
                 const Transition &t = rollout[i];
                 const double adv = rollout.advantage(i);
                 const double ret = rollout.returnAt(i);
 
-                const auto ev = net_.evaluate(t.state, t.actions);
+                const auto &ev = pass.eval(k);
                 const double ratio = std::exp(ev.log_prob - t.log_prob);
                 const double surr1 = ratio * adv;
                 const double clipped =
@@ -72,7 +87,7 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
                 const double dvalue = cfg_.vf_coef * verr * inv_b;
                 const double dentropy = -cfg_.ent_coef * inv_b;
 
-                net_.backward(t.actions, dlogp, dentropy, dvalue);
+                pass.setLossGrad(k, dlogp, dentropy, dvalue);
 
                 sum_pl += -std::min(surr1, surr2);
                 sum_vl += 0.5 * verr * verr;
@@ -80,6 +95,8 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
                 sum_kl += t.log_prob - ev.log_prob;
                 ++count;
             }
+            pass.backward();
+
             // Non-finite gradient guard: a single NaN/inf component
             // would propagate through Adam into every weight. Drop the
             // minibatch instead and count the event (zeroGrads at the
