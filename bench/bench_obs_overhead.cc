@@ -8,14 +8,16 @@
  *     and off produces an identical ExperimentResult (the null-guard
  *     and per-thread rings must not perturb the simulation).
  *  2. Disabled overhead < 2 % — measured as a bound, not a race of two
- *     wall clocks: the per-call cost of the null-guarded
- *     FLEETIO_TRACE_EVENT macro (microbenchmarked) times the trace-call
- *     density of a real run (calls per simulation event, read off an
- *     enabled run's recorder) over the per-event simulation cost of an
- *     untraced run. Run-to-run noise cancels out of the bound, so the
- *     verdict is stable enough for CI.
- *  3. (informational) Enabled overhead — wall-clock ratio of a fully
- *     traced+metered run over an untraced run of the same cell.
+ *     wall clocks: the per-call cost of the null-guarded FLEETIO_PROBE
+ *     macro (microbenchmarked) times the probe-call density of a real
+ *     run (calls per simulation event, counted by the probe of a run
+ *     with every consumer on, so each null test an unobserved run
+ *     executes is in the count) over the per-event simulation cost of
+ *     an unobserved run. Run-to-run noise cancels out of the bound, so
+ *     the verdict is stable enough for CI.
+ *  3. (informational) Enabled overhead — wall-clock ratio of a run with
+ *     trace, attribution and metrics on over an unobserved run of the
+ *     same cell.
  *
  * --smoke shrinks durations for the ctest registration.
  */
@@ -24,7 +26,7 @@
 
 #include "bench/bench_common.h"
 #include "src/harness/testbed.h"
-#include "src/obs/trace.h"
+#include "src/obs/probe.h"
 #include "src/virt/channel_allocator.h"
 
 using namespace fleetio;
@@ -44,7 +46,7 @@ struct DriveStats
 {
     double wall_sec = 0;
     std::uint64_t sim_events = 0;
-    std::uint64_t trace_calls = 0;  ///< recorded events (enabled runs)
+    std::uint64_t probe_calls = 0;  ///< probe event calls (enabled runs)
 };
 
 /**
@@ -58,6 +60,7 @@ driveCell(bool obs_on, SimTime measure)
     TestbedOptions opts;
     opts.seed = 42;
     opts.obs.trace = obs_on;
+    opts.obs.attribution = obs_on;
     opts.obs.metrics = obs_on;
     Testbed tb(opts);
     const auto &geo = tb.device().geometry();
@@ -79,8 +82,8 @@ driveCell(bool obs_on, SimTime measure)
 
     tb.endMeasurement();
     tb.stopWorkloads();
-    if (tb.tracer() != nullptr)
-        out.trace_calls = tb.tracer()->eventCount();
+    if (const obs::Probe *probe = tb.device().probe())
+        out.probe_calls = probe->calls();
     return out;
 }
 
@@ -92,7 +95,7 @@ driveCell(bool obs_on, SimTime measure)
 double
 disabledMacroNs(std::uint64_t iters)
 {
-    obs::TraceRecorder *volatile tracer = nullptr;
+    obs::Probe *volatile probe = nullptr;
     // Baseline: the loop itself.
     volatile std::uint64_t sink = 0;
     auto t0 = std::chrono::steady_clock::now();
@@ -103,7 +106,7 @@ disabledMacroNs(std::uint64_t iters)
     t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         sink = sink + 1;
-        FLEETIO_TRACE_EVENT(tracer, windowBoundary(i, i));
+        FLEETIO_PROBE(probe, windowBoundary(i, i));
     }
     const double macro_sec = secondsSince(t0);
     const double delta = macro_sec - loop_sec;
@@ -180,7 +183,7 @@ main(int argc, char **argv)
 
     const double ns_per_event = off_sec * 1e9 / double(off.sim_events);
     const double calls_per_event =
-        double(on.trace_calls) / double(on.sim_events);
+        double(on.probe_calls) / double(on.sim_events);
     const double disabled_pct =
         100.0 * macro_ns * calls_per_event / ns_per_event;
     const double enabled_pct =
@@ -189,7 +192,7 @@ main(int argc, char **argv)
     Table t({"quantity", "value"});
     t.addRow({"sim events (drive)", std::to_string(off.sim_events)});
     t.addRow({"ns per sim event (obs off)", fmtDouble(ns_per_event, 1)});
-    t.addRow({"trace calls per sim event", fmtDouble(calls_per_event, 3)});
+    t.addRow({"probe calls per sim event", fmtDouble(calls_per_event, 3)});
     t.addRow({"disabled macro cost (ns/call)", fmtDouble(macro_ns, 3)});
     t.addRow({"disabled overhead bound", fmtDouble(disabled_pct, 3) + "%"});
     t.addRow({"enabled overhead (wall)", fmtDouble(enabled_pct, 1) + "%"});
@@ -199,20 +202,20 @@ main(int argc, char **argv)
     bool ok = true;
     ok &= verdict(sameResult(res_off, res_on),
                   "obs on/off FleetIO results are identical");
-    ok &= verdict(res_on.sim_events > 0 && on.trace_calls > 0,
-                  "traced run actually recorded events");
+    ok &= verdict(res_on.sim_events > 0 && on.probe_calls > 0,
+                  "observed run actually made probe calls");
     ok &= verdict(disabled_pct < 2.0,
-                  "compiled-in-but-disabled tracing bound < 2%");
+                  "compiled-in-but-disabled probe bound < 2%");
     std::cout << "\n(enabled overhead is informational: "
               << fmtDouble(enabled_pct, 1)
-              << "% wall for full trace + per-window metrics)\n";
+              << "% wall for trace + attribution + per-window metrics)\n";
 
     report.addCell("drive/obs-off", {{"wall_sec", off_sec}},
                    off.sim_events);
     report.addCell("drive/obs-on", {{"wall_sec", on.wall_sec}},
                    on.sim_events);
     report.setMetric("disabled_macro_ns", macro_ns);
-    report.setMetric("trace_calls_per_event", calls_per_event);
+    report.setMetric("probe_calls_per_event", calls_per_event);
     report.setMetric("disabled_overhead_pct", disabled_pct);
     report.setMetric("enabled_overhead_pct", enabled_pct);
     report.setMetric("parity", sameResult(res_off, res_on) ? 1 : 0);

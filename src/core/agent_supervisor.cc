@@ -95,10 +95,9 @@ AgentSupervisor::quarantine(Entry &e, TripReason reason)
     ++stats_.trips;
     e.last_reason = reason;
     ++e.trips_since_good;
-    FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                        agentTrip(gsb_.device().eventQueue().now(),
-                                  e.vssd->id(),
-                                  std::uint64_t(reason)));
+    FLEETIO_PROBE(gsb_.device().probe(),
+                  agentTrip(gsb_.device().eventQueue().now(),
+                            e.vssd->id(), std::uint64_t(reason)));
 
     // Restore the last-good snapshot, unless this agent keeps tripping
     // without surviving long enough to take a fresh one — then the

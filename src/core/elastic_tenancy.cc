@@ -17,8 +17,6 @@ ElasticTenancyConfig::validate() const
         return "elastic.drain_poll must be positive";
     if (scrub_poll <= 0)
         return "elastic.scrub_poll must be positive";
-    if (pressure_interval < 0)
-        return "elastic.pressure_interval must be non-negative";
     if (!(degrade_slo_1 <= degrade_slo_2 && degrade_slo_2 <= degrade_slo_3))
         return "elastic.degrade_slo thresholds must be non-decreasing";
     if (degrade_free_ratio < 0.0 || degrade_free_ratio > 1.0)

@@ -286,8 +286,8 @@ FleetIoController::tick()
     if (n == 0)
         return;
     ++windows_;
-    FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                        windowBoundary(eq_.now(), windows_));
+    FLEETIO_PROBE(gsb_.device().probe(),
+                  windowBoundary(eq_.now(), windows_));
     if (windows_counter_ != nullptr)
         windows_counter_->observe(windows_);
 
@@ -323,9 +323,8 @@ FleetIoController::tick()
         agent.completeTransition(reward);
         m.reward_sum += reward;
         ++m.reward_count;
-        FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                            agentReward(eq_.now(), m.vssd->id(),
-                                        reward));
+        FLEETIO_PROBE(gsb_.device().probe(),
+                      agentReward(eq_.now(), m.vssd->id(), reward));
         if (metrics_ != nullptr) {
             if (reward_gauges_.size() <= i)
                 reward_gauges_.resize(n, nullptr);
@@ -372,9 +371,9 @@ FleetIoController::tick()
         } else {
             action = agent.decide(state);
         }
-        FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                            agentDecide(eq_.now(), m.vssd->id(),
-                                        actionCode(action)));
+        FLEETIO_PROBE(gsb_.device().probe(),
+                      agentDecide(eq_.now(), m.vssd->id(),
+                                  actionCode(action)));
         if (drift_ != nullptr)
             drift_->recordAction(m.vssd->id(), actionCode(action));
         applyAction(m, action);

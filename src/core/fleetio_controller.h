@@ -26,7 +26,6 @@
 #include "src/harvest/gsb_manager.h"
 #include "src/obs/drift.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/rl/checkpoint.h"
 #include "src/virt/vssd.h"
 

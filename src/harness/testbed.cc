@@ -27,10 +27,7 @@ Testbed::Testbed(const TestbedOptions &opts)
     if (opts_.obs.trace) {
         tracer_ = std::make_unique<obs::TraceRecorder>(
             opts_.obs.trace_capacity);
-        dev_.setTracer(tracer_.get());
     }
-    if (opts_.obs.metrics)
-        sched_.setMetrics(&metrics_);
     if (opts_.obs.attribution) {
         obs::AttributionHub::Config ac;
         ac.channels = opts_.geo.num_channels;
@@ -38,10 +35,13 @@ Testbed::Testbed(const TestbedOptions &opts)
                    opts_.geo.chips_per_channel;
         ac.top_k = opts_.obs.attr_top_k;
         attr_ = std::make_unique<obs::AttributionHub>(ac);
-        dev_.setAttribution(attr_.get());
         if (opts_.obs.metrics)
             attr_->setMetrics(&metrics_);
     }
+    // One probe fans events out to the consumers above (none: no probe).
+    probe_.install(tracer_.get(), attr_.get(), metrics());
+    if (probe_.active())
+        dev_.setProbe(&probe_);
     if (opts_.obs.drift) {
         obs::DriftMonitor::Config dc;
         dc.baseline_windows = opts_.obs.drift_baseline_windows;
@@ -144,12 +144,10 @@ Testbed::addTenant(WorkloadKind kind,
         tenant_seed_));
     // fleetio-analyze: allow(hot-alloc): tenant provisioning, runs at arrival not per I/O
     kinds_.push_back(kind);
-    if (attr_ != nullptr)
-        attr_->setSlo(v.id(), slo);
-    FLEETIO_TRACE_EVENT(tracer_.get(),
-                        setTrackName(obs::tenantTrack(v.id()),
-                                     cfg.name + "-" +
-                                         std::to_string(v.id())));
+    FLEETIO_PROBE(dev_.probe(),
+                  tenantAdded(v.id(),
+                              cfg.name + "-" + std::to_string(v.id()),
+                              slo));
     return v;
 }
 
@@ -226,7 +224,7 @@ Testbed::beginMeasurement()
         attr_->markBaseline();
     if (drift_ != nullptr)
         drift_->markBaseline();
-    if (opts_.obs.metrics || tracer_ != nullptr) {
+    if (tracer_ != nullptr) {
         last_tenant_bytes_.assign(vssds_.size(), 0);
         for (auto *v : vssds_.active())
             last_tenant_bytes_[v->id()] = v->bandwidth().totalBytes();
@@ -260,35 +258,28 @@ void
 Testbed::observeWindow(double util)
 {
     const SimTime now = eq_.now();
-    FLEETIO_TRACE_EVENT(tracer_.get(), windowBoundary(now, window_index_));
-    FLEETIO_TRACE_EVENT(tracer_.get(),
-                        counterSample(now, obs::kTrackController,
-                                      obs::CounterKind::kUtilization,
-                                      util));
-    FLEETIO_TRACE_EVENT(tracer_.get(),
-                        counterSample(now, obs::kTrackController,
-                                      obs::CounterKind::kQueueDepth,
-                                      double(sched_.queuedOps())));
+    FLEETIO_PROBE(dev_.probe(), windowBoundary(now, window_index_));
+    FLEETIO_PROBE(dev_.probe(),
+                  counterSample(now, obs::kTrackController,
+                                obs::CounterKind::kUtilization, util));
+    FLEETIO_PROBE(dev_.probe(),
+                  counterSample(now, obs::kTrackController,
+                                obs::CounterKind::kQueueDepth,
+                                double(sched_.queuedOps())));
     if (tracer_ != nullptr) {
         const double win_sec = toSeconds(opts_.window);
-        for (auto *v : vssds_.active()) {
-            const std::uint64_t total = v->bandwidth().totalBytes();
-            const std::uint64_t last =
-                v->id() < last_tenant_bytes_.size()
-                    ? last_tenant_bytes_[v->id()] : 0;
-            const double mbps =
-                double(total - last) / (1e6 * win_sec);
-            FLEETIO_TRACE_EVENT(
-                tracer_.get(),
-                counterSample(now, obs::tenantTrack(v->id()),
-                              obs::CounterKind::kBandwidthMBps, mbps));
-        }
-    }
-    if (opts_.obs.metrics || tracer_ != nullptr) {
         if (last_tenant_bytes_.size() < vssds_.size())
             last_tenant_bytes_.resize(vssds_.size(), 0);
-        for (auto *v : vssds_.active())
-            last_tenant_bytes_[v->id()] = v->bandwidth().totalBytes();
+        for (auto *v : vssds_.active()) {
+            std::uint64_t &last = last_tenant_bytes_[v->id()];
+            const std::uint64_t total = v->bandwidth().totalBytes();
+            FLEETIO_PROBE(dev_.probe(),
+                          counterSample(now, obs::tenantTrack(v->id()),
+                                        obs::CounterKind::kBandwidthMBps,
+                                        double(total - last) /
+                                            (1e6 * win_sec)));
+            last = total;
+        }
     }
     rollAttributionWindow(now);
     if (opts_.obs.metrics) {

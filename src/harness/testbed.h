@@ -17,10 +17,9 @@
 #include "src/core/recovery.h"
 #include "src/harvest/gsb_manager.h"
 #include "src/harvest/harvested_block_table.h"
-#include "src/obs/attribution.h"
 #include "src/obs/drift.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/probe.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/flash_device.h"
 #include "src/virt/io_scheduler.h"
@@ -287,6 +286,7 @@ class Testbed
     std::unique_ptr<obs::AttributionHub> attr_;
     std::unique_ptr<obs::DriftMonitor> drift_;
     obs::MetricsRegistry metrics_;
+    obs::Probe probe_;
     std::unique_ptr<ElasticTenancyManager> elastic_;
     std::unique_ptr<DurabilityModel> durability_;
     std::unique_ptr<PowerLossInjector> injector_;

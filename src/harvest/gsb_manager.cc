@@ -145,24 +145,22 @@ GsbManager::createGsb(Vssd &home, std::uint32_t n_chls)
     gsbs_.emplace(raw->id(), std::move(gsb));
     pool_.insert(raw);
     ++created_;
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        gsbEvent(dev_.eventQueue().now(),
-                                 obs::TraceEventType::kGsbCreate,
-                                 home.id(), raw->id(), added));
+    probeGsb(obs::TraceEventType::kGsbCreate, home.id(), *raw);
     return raw;
+}
+
+void
+GsbManager::probeGsb(obs::TraceEventType type, VssdId tenant,
+                     const Gsb &g)
+{
+    FLEETIO_PROBE(dev_.probe(), gsbEvent(dev_.eventQueue().now(), type,
+                                         tenant, g.id(), g.numChannels()));
 }
 
 void
 GsbManager::reclaimLazily(Gsb *gsb)
 {
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        gsbEvent(dev_.eventQueue().now(),
-                                 obs::TraceEventType::kGsbReclaim,
-                                 gsb->homeVssd(), gsb->id(),
-                                 gsb->numChannels()));
-    FLEETIO_ATTR_EVENT(dev_.attribution(),
-                       noteHarvest(gsb->homeVssd(),
-                                   obs::HarvestNote::kReclaim));
+    probeGsb(obs::TraceEventType::kGsbReclaim, gsb->homeVssd(), *gsb);
     gsb->setReclaiming();
     // Detach from the harvester's write path: no new data flows in.
     if (gsb->inUse()) {
@@ -249,14 +247,7 @@ GsbManager::revokeUnderPressure(VssdId home_id)
     for (Gsb *g : pool_gsbs) {
         if (!pool_.remove(g))
             continue;
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            gsbEvent(dev_.eventQueue().now(),
-                                     obs::TraceEventType::kGsbRevoke,
-                                     home_id, g->id(),
-                                     g->numChannels()));
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(home_id,
-                                       obs::HarvestNote::kRevoked));
+        probeGsb(obs::TraceEventType::kGsbRevoke, home_id, *g);
         destroyUnharvestedAfterPoolRemove(g);
         ++revoked_;
         revoked_any = true;
@@ -281,14 +272,7 @@ GsbManager::revokeUnderPressure(VssdId home_id)
         return av != bv ? av < bv : a->id() < b->id();
     });
     for (Gsb *g : in_use) {
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            gsbEvent(dev_.eventQueue().now(),
-                                     obs::TraceEventType::kGsbRevoke,
-                                     home_id, g->id(),
-                                     g->numChannels()));
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(home_id,
-                                       obs::HarvestNote::kRevoked));
+        probeGsb(obs::TraceEventType::kGsbRevoke, home_id, *g);
         reclaimLazily(g);
         ++revoked_;
         revoked_any = true;
@@ -412,14 +396,7 @@ GsbManager::forceReleaseHeld(VssdId harvester_id)
     std::uint32_t channels = 0;
     for (Gsb *g : held) {
         channels += g->numChannels();
-        FLEETIO_TRACE_EVENT(
-            dev_.tracer(),
-            gsbEvent(dev_.eventQueue().now(),
-                     obs::TraceEventType::kGsbForceRelease,
-                     harvester_id, g->id(), g->numChannels()));
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(harvester_id,
-                                       obs::HarvestNote::kRevoked));
+        probeGsb(obs::TraceEventType::kGsbForceRelease, harvester_id, *g);
         // reclaimLazily detaches the harvester's write path right away
         // (no new data lands in the gSB) and releases never-written
         // blocks instantly; the rest drain through the home GC.
@@ -509,14 +486,7 @@ GsbManager::harvest(VssdId harvester_id, double gsb_bw_mbps)
         harvester->ftl().addExternalSource(g);
         current += g->numChannels();
         ++harvested_;
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(harvester_id,
-                                       obs::HarvestNote::kCreated));
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            gsbEvent(dev_.eventQueue().now(),
-                                     obs::TraceEventType::kGsbHarvest,
-                                     harvester_id, g->id(),
-                                     g->numChannels()));
+        probeGsb(obs::TraceEventType::kGsbHarvest, harvester_id, *g);
     }
     return current;
 }
@@ -571,11 +541,7 @@ GsbManager::destroyUnharvestedAfterPoolRemove(Gsb *gsb)
     if (home != nullptr && returned > 0)
         home->ftl().onBlocksReclaimed(returned);
     ++reclaimed_;
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        gsbEvent(dev_.eventQueue().now(),
-                                 obs::TraceEventType::kGsbDestroy,
-                                 gsb->homeVssd(), gsb->id(),
-                                 gsb->numChannels()));
+    probeGsb(obs::TraceEventType::kGsbDestroy, gsb->homeVssd(), *gsb);
     eraseGsbRecord(gsb->id());
 }
 

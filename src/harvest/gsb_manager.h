@@ -64,7 +64,7 @@ class GsbManager
     GsbPool &pool() { return pool_; }
     const GsbPool &pool() const { return pool_; }
 
-    /** The underlying device (tracer hub access for the supervisor). */
+    /** The underlying device (probe hub access for the supervisor). */
     FlashDevice &device() { return dev_; }
 
     /**
@@ -137,6 +137,8 @@ class GsbManager
     Gsb *createGsb(Vssd &home, std::uint32_t n_chls);
     void destroyUnharvestedAfterPoolRemove(Gsb *gsb);
     void reclaimLazily(Gsb *gsb);
+    /** Probe one gSB lifecycle step at the current sim time. */
+    void probeGsb(obs::TraceEventType type, VssdId tenant, const Gsb &g);
     void eraseGsbRecord(GsbId id);
 
     FlashDevice &dev_;

@@ -14,10 +14,10 @@
  * the tenant (and mechanism: GC / harvest / plain contention) that
  * inflicted it — that is the `blame[victim][culprit]` matrix.
  *
- * Everything here follows the obs-layer byte-identity contract: with
- * no AttributionHub installed (or with FLEETIO_OBS_NO_ATTRIBUTION
- * compiled in) the instrumentation macros evaluate nothing, construct
- * nothing, and the experiment output is byte-identical to a build
+ * Everything here follows the obs-layer byte-identity contract: the
+ * hub is one consumer of the instrumentation probe (src/obs/probe.h),
+ * so with no hub installed (or with the probes compiled out) nothing
+ * here runs and the experiment output is byte-identical to a build
  * without this file.
  */
 #pragma once
@@ -126,10 +126,11 @@ enum class HarvestNote : std::uint8_t {
 inline constexpr std::size_t kNumHarvestNotes = 3;
 
 /**
- * The attribution hub. One per testbed, installed on the FlashDevice
- * next to the tracer; all emit methods below are reached through the
- * FLEETIO_ATTR_EVENT / FLEETIO_ATTR_SCOPE null-guard macros so a null
- * hub costs one pointer test. Single-threaded, like the simulation.
+ * The attribution hub. One per testbed, installed in the testbed's
+ * obs::Probe; the emit methods below are reached through the probe's
+ * events (FLEETIO_PROBE / FLEETIO_PROBE_SCOPE), so an unobserved run
+ * costs one null-probe test per site. Single-threaded, like the
+ * simulation.
  */
 class FLEETIO_THREAD_CONFINED AttributionHub
 {
@@ -152,14 +153,14 @@ class FLEETIO_THREAD_CONFINED AttributionHub
     /** Per-window metrics export target (optional). */
     void setMetrics(MetricsRegistry *m) { metrics_ = m; }
 
-    // --- arm stack (use FLEETIO_ATTR_SCOPE, not direct calls) ----------
+    // --- arm stack (use FLEETIO_PROBE_SCOPE, not direct calls) ---------
 
     /** Arm: subsequent device issues belong to @p tenant via @p kind. */
     void pushContext(VssdId tenant, SegKind kind);
     void popContext();
     bool armed() const { return ctx_depth_ > 0; }
 
-    // --- device-side emits (FlashDevice, via FLEETIO_ATTR_EVENT) ------
+    // --- device-side emits (FlashDevice, via obs::Probe) -------------
 
     /**
      * A read was reserved: chip occupancy [max(now, chip_free),
@@ -350,59 +351,4 @@ class FLEETIO_THREAD_CONFINED AttributionHub
     std::uint64_t sum_mismatches_ = 0;
 };
 
-/**
- * RAII arm scope: device issues inside the scope are attributed to
- * @p tenant with occupancy kind @p kind. Null hub = no-op. Use via
- * FLEETIO_ATTR_SCOPE so compile-out builds drop it entirely.
- */
-class AttributionScope
-{
-  public:
-    AttributionScope(AttributionHub *hub, VssdId tenant, SegKind kind)
-        : hub_(hub)
-    {
-        if (hub_ != nullptr)
-            hub_->pushContext(tenant, kind);
-    }
-    ~AttributionScope()
-    {
-        if (hub_ != nullptr)
-            hub_->popContext();
-    }
-    AttributionScope(const AttributionScope &) = delete;
-    AttributionScope &operator=(const AttributionScope &) = delete;
-
-  private:
-    AttributionHub *hub_;
-};
-
 }  // namespace fleetio::obs
-
-/**
- * Null-guarded attribution emit, mirroring FLEETIO_TRACE_EVENT: the
- * hub expression is evaluated once; the emit call (and its argument
- * expressions) only run when a hub is installed. Compiled out entirely
- * under FLEETIO_OBS_NO_ATTRIBUTION.
- */
-#if defined(FLEETIO_OBS_NO_ATTRIBUTION)
-
-#define FLEETIO_ATTR_EVENT(hub_expr, call) ((void)0)
-#define FLEETIO_ATTR_SCOPE(hub_expr, tenant, kind) ((void)0)
-
-#else
-
-#define FLEETIO_ATTR_EVENT(hub_expr, call)                                \
-    do {                                                                  \
-        ::fleetio::obs::AttributionHub *fio_attr__ = (hub_expr);          \
-        if (fio_attr__ != nullptr)                                        \
-            fio_attr__->call;                                             \
-    } while (0)
-
-/** RAII stage-timer scope; lives until the end of the enclosing block. */
-#define FLEETIO_ATTR_SCOPE(hub_expr, tenant, kind)                        \
-    ::fleetio::obs::AttributionScope fio_attr_scope__                     \
-    {                                                                     \
-        (hub_expr), (tenant), (kind)                                      \
-    }
-
-#endif

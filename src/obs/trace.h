@@ -5,11 +5,10 @@
  * trace-event JSON loadable in Perfetto / chrome://tracing.
  *
  * Design constraints, in order:
- *  - Zero behaviour change when disabled. Instrumentation sites guard on
- *    a nullable TraceRecorder pointer (FLEETIO_TRACE_EVENT below); a
- *    null recorder means one pointer test per site and nothing else —
- *    no RNG draws, no time reads, no allocation. Compiling with
- *    -DFLEETIO_OBS_NO_TRACING removes even the pointer test.
+ *  - Zero behaviour change when disabled. The recorder is one consumer
+ *    of the instrumentation probe (src/obs/probe.h): with tracing off
+ *    it is never installed, so sites cost one null-probe test at most —
+ *    no RNG draws, no time reads, no allocation.
  *  - Contention-free under the parallel harness. Each worker thread
  *    records into its own ring (thread_local lookup cached on the
  *    recorder's unique id); the recorder's mutex is only taken on a
@@ -305,19 +304,3 @@ bool traceEnabledFromEnv();
 std::string traceDirFromEnv();
 
 }  // namespace fleetio::obs
-
-/**
- * Instrumentation-site guard: evaluates @p tracer_expr once, records via
- * the emit-helper @p call when non-null. Compiles to nothing under
- * -DFLEETIO_OBS_NO_TRACING (CMake option FLEETIO_OBS_TRACING=OFF).
- */
-#if defined(FLEETIO_OBS_NO_TRACING)
-#define FLEETIO_TRACE_EVENT(tracer_expr, call) ((void)0)
-#else
-#define FLEETIO_TRACE_EVENT(tracer_expr, call)                        \
-    do {                                                              \
-        ::fleetio::obs::TraceRecorder *fio_tr__ = (tracer_expr);      \
-        if (fio_tr__ != nullptr)                                      \
-            fio_tr__->call;                                           \
-    } while (0)
-#endif

@@ -66,11 +66,12 @@ FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
     const SimTime bus_free = chan.busBusyUntil();
     const SimTime complete = chan.reserveBus(read_done, xfer);
     chan.accountBusy(xfer);
-    FLEETIO_ATTR_EVENT(
-        attribution_,
-        noteRead(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
-                 eq_.now(), chip_free, read_done,
-                 array_time - geo_.read_latency, bus_free, complete));
+    FLEETIO_PROBE(
+        probe_,
+        flashRead(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
+                  eq_.now(), chip_free, read_done,
+                  array_time - geo_.read_latency, bus_free, complete,
+                  !host));
 
     if (host) {
         chan.addOutstanding();
@@ -83,9 +84,6 @@ FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
                        });
     } else {
         ++gc_reads_;
-        FLEETIO_TRACE_EVENT(
-            tracer_,
-            gcOp(eq_.now(), obs::TraceEventType::kGcRead, ch));
         // No bookkeeping on completion: schedule the callback itself
         // (the event queue tolerates a null one), skipping a wrapper
         // indirection.
@@ -113,10 +111,11 @@ FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
     chan.accountBusy(xfer);
     const SimTime chip_free = chp.busyUntil();
     const SimTime complete = chp.reserve(xfer_done, geo_.program_latency);
-    FLEETIO_ATTR_EVENT(
-        attribution_,
-        noteProgram(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
-                    eq_.now(), bus_free, xfer_done, chip_free, complete));
+    FLEETIO_PROBE(
+        probe_,
+        flashProgram(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
+                     eq_.now(), bus_free, xfer_done, chip_free, complete,
+                     !host));
 
     if (host) {
         chan.addOutstanding();
@@ -128,9 +127,6 @@ FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
         });
     } else {
         ++gc_writes_;
-        FLEETIO_TRACE_EVENT(
-            tracer_,
-            gcOp(eq_.now(), obs::TraceEventType::kGcProgram, ch));
     }
     eq_.scheduleAt(complete, std::move(done));
     return complete;
@@ -167,13 +163,11 @@ FlashDevice::issueErase(ChannelId ch, ChipId cp, Callback done)
     maybeSlowDown(chp);
     const SimTime chip_free = chp.busyUntil();
     const SimTime complete = chp.reserve(eq_.now(), geo_.erase_latency);
-    FLEETIO_ATTR_EVENT(
-        attribution_,
-        noteErase(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
-                  eq_.now(), chip_free, complete));
+    FLEETIO_PROBE(
+        probe_,
+        flashErase(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
+                   eq_.now(), chip_free, complete));
     ++erases_;
-    FLEETIO_TRACE_EVENT(
-        tracer_, gcOp(eq_.now(), obs::TraceEventType::kGcErase, ch));
     eq_.scheduleAt(complete, std::move(done));
     return complete;
 }
@@ -247,7 +241,7 @@ FlashDevice::crashReset()
     // Reservation accumulators just rewound to zero; stale occupancy
     // segments would otherwise blame post-recovery waits on pre-crash
     // tenants.
-    FLEETIO_ATTR_EVENT(attribution_, crashReset());
+    FLEETIO_PROBE(probe_, flashCrash());
 }
 
 bool

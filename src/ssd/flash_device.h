@@ -9,13 +9,9 @@
 #include <cstdint>
 #include <vector>
 
-// fleetio-lint: allow(layering): attribution instrumentation is
-// deliberately cross-layer — a null-guarded pointer + macros that
-// compile out (DESIGN.md §13).
-#include "src/obs/attribution.h"
-// fleetio-lint: allow(layering): trace instrumentation, same contract
-// (DESIGN.md §9).
-#include "src/obs/trace.h"
+// fleetio-lint: allow(layering): instrumentation is deliberately
+// cross-layer — a null-guarded probe + macros that compile out (§9).
+#include "src/obs/probe.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/types.h"
 #include "src/ssd/channel.h"
@@ -126,35 +122,23 @@ class FlashDevice
     void setFaultInjector(FaultInjector *fi) { injector_ = fi; }
     FaultInjector *faultInjector() { return injector_; }
 
-    // --- Tracing -------------------------------------------------------
+    // --- Instrumentation -----------------------------------------------
 
     /**
-     * Install a trace recorder (nullptr = tracing off, the default).
-     * The device is the tracer hub: every subsystem holding a device
-     * reference (scheduler, GC, gSB manager, controller) reaches the
-     * recorder through tracer(), so enabling tracing is one call on the
-     * testbed. With no recorder installed each instrumentation site is
-     * a single null-pointer test (see FLEETIO_TRACE_EVENT).
+     * Install the instrumentation probe (nullptr = observability off,
+     * the default). Every subsystem holding a device reference reaches
+     * it through probe(); with none each FLEETIO_PROBE site is a single
+     * null-pointer test.
      */
-    void setTracer(obs::TraceRecorder *t) { tracer_ = t; }
-    obs::TraceRecorder *tracer() const { return tracer_; }
-
-    /**
-     * Install the latency-attribution hub (nullptr = attribution off,
-     * the default). Hub pattern identical to the tracer: scheduler, GC,
-     * and gSB manager reach it through attribution(); issue paths note
-     * reservation timings into it behind FLEETIO_ATTR_EVENT, so a null
-     * hub costs one pointer test and off runs stay byte-identical.
-     */
-    void setAttribution(obs::AttributionHub *a) { attribution_ = a; }
-    obs::AttributionHub *attribution() const { return attribution_; }
+    void setProbe(obs::Probe *p) { probe_ = p; }
+    obs::Probe *probe() const { return probe_; }
 
     // --- Durability / power loss ---------------------------------------
 
     /**
      * Install the durability model (nullptr = no crash modelling, the
      * default — byte-identical to builds without the subsystem). The
-     * device is the durability hub exactly as it is the tracer hub:
+     * device is the durability hub exactly as it is the probe hub:
      * FTL, GC, and the gSB manager reach it through durability(), and
      * every chip gets a backpointer so block opens write their durable
      * summary automatically.
@@ -279,8 +263,7 @@ class FlashDevice
     SsdGeometry geo_;
     EventQueue &eq_;
     FaultInjector *injector_ = nullptr;
-    obs::TraceRecorder *tracer_ = nullptr;
-    obs::AttributionHub *attribution_ = nullptr;
+    obs::Probe *probe_ = nullptr;
     DurabilityModel *durability_ = nullptr;
     PowerLossInjector *power_loss_ = nullptr;
     SlotFreedFn on_slot_freed_;

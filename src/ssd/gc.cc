@@ -79,8 +79,8 @@ GcEngine::startJob(const Victim &v)
     in_flight_ = 0;
     retry_count_ = 0;
     ++job_gen_;
-    FLEETIO_TRACE_EVENT(
-        dev_->tracer(),
+    FLEETIO_PROBE(
+        dev_->probe(),
         gcBatch(dev_->eventQueue().now(), home_->vssd(), v.ch,
                 dev_->chip(v.ch, v.chip).block(v.blk).valid_count));
     pumpMigrations();
@@ -170,11 +170,10 @@ GcEngine::migrateOnePage(PageId pg)
     // stale pages forced the migration, whichever vSSD's data moves.
     // The program fires from the read's completion callback, so it
     // re-arms there — the original scope is long gone by then.
-    FLEETIO_ATTR_SCOPE(dev_->attribution(), home_->vssd(),
-                       obs::SegKind::kGcOp);
+    FLEETIO_PROBE_SCOPE(dev_->probe(), home_->vssd(), obs::SegKind::kGcOp);
     dev_->issueGcRead(old_ppa, [this, new_ppa, gen]() {
-        FLEETIO_ATTR_SCOPE(dev_->attribution(), home_->vssd(),
-                           obs::SegKind::kGcOp);
+        FLEETIO_PROBE_SCOPE(dev_->probe(), home_->vssd(),
+                            obs::SegKind::kGcOp);
         dev_->issueGcProgram(new_ppa, [this, gen]() {
             if (gen != job_gen_)
                 return;
@@ -196,8 +195,7 @@ GcEngine::finishBlock()
 {
     const Victim v = current_;
     const std::uint64_t gen = job_gen_;
-    FLEETIO_ATTR_SCOPE(dev_->attribution(), home_->vssd(),
-                       obs::SegKind::kGcOp);
+    FLEETIO_PROBE_SCOPE(dev_->probe(), home_->vssd(), obs::SegKind::kGcOp);
     dev_->issueErase(v.ch, v.chip, [this, v, gen]() {
         if (gen != job_gen_)
             return;

@@ -35,10 +35,10 @@ struct IoRequest
     std::uint64_t trace_id = 0;
 
     /**
-     * Inline latency-attribution record (obs::AttributionHub): the
+     * Inline latency-attribution record (DESIGN.md §13): the
      * per-stage breakdown of the request's last-completing page, whose
      * stage sum equals the end-to-end latency exactly. Written only
-     * when an attribution hub is installed; otherwise dead weight. The
+     * when attribution is on; otherwise dead weight. The
      * count mirrors obs::kNumStages (static_assert in attribution.cc)
      * so this hot struct does not pull in the obs layer.
      */

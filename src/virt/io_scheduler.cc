@@ -71,12 +71,10 @@ IoScheduler::submit(IoRequestPtr req)
     ++inflight_reqs_[req->vssd];
     req->pages_done = 0;
     req->trace_id = next_req_id_++;
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        ioSubmit(eq.now(), req->vssd, req->trace_id,
-                                 req->type, req->npages));
-    FLEETIO_ATTR_EVENT(dev_.attribution(),
-                       resetRequest(req->attr_stages,
-                                    &req->attr_complete));
+    FLEETIO_PROBE(dev_.probe(),
+                  ioSubmit(eq.now(), req->vssd, req->trace_id, req->type,
+                           req->npages, req->attr_stages,
+                           &req->attr_complete));
 
     for (std::uint32_t i = 0; i < req->npages; ++i)
         enqueuePage(req, req->lpa + i);
@@ -158,10 +156,9 @@ IoScheduler::completeZeroFill(IoRequestPtr req)
     const SimTime lat = dev_.geometry().read_latency;
     // The whole page span is modelled chip service: no queueing, no
     // bus, no interference — the mapping table answered.
-    FLEETIO_ATTR_EVENT(dev_.attribution(),
-                       zeroFillPage(req->vssd, lat, eq.now() + lat,
-                                    req->attr_stages,
-                                    &req->attr_complete));
+    FLEETIO_PROBE(dev_.probe(),
+                  ioZeroFill(req->vssd, lat, eq.now() + lat,
+                             req->attr_stages, &req->attr_complete));
     eq.scheduleAfter(lat, [this, req]() {
         onPageDone(req);
     });
@@ -183,21 +180,9 @@ IoScheduler::onPageDone(IoRequestPtr req)
     v->latency().record(lat);
     const std::uint64_t bytes = req->bytes(dev_.geometry().page_size);
     v->bandwidth().record(req->type, bytes);
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        ioComplete(now, req->vssd, req->trace_id,
-                                   req->type, lat));
-    FLEETIO_ATTR_EVENT(dev_.attribution(),
-                       recordRequest(req->vssd,
-                                     req->type == IoType::kWrite,
-                                     req->trace_id, req->submit_time,
-                                     now, req->attr_stages));
-    if (metrics_ != nullptr) {
-        TenantMetrics &tm = tenantMetrics(req->vssd);
-        tm.latency->record(lat);
-        (req->type == IoType::kRead ? tm.read_bytes : tm.write_bytes)
-            ->add(bytes);
-        tm.requests->add(1);
-    }
+    FLEETIO_PROBE(dev_.probe(),
+                  ioComplete(now, req->vssd, req->trace_id, req->type,
+                             req->submit_time, bytes, req->attr_stages));
     if (completion_tap_)
         completion_tap_(*req);
     if (req->on_complete)
@@ -305,9 +290,9 @@ IoScheduler::pump(ChannelId ch)
         Vssd *v = vssds_.get(vid);
         const SimTime wait = eq.now() - op.enqueue_time;
         v->queue().onDispatch(wait);
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            ioDispatch(eq.now(), vid,
-                                       op.req->trace_id, ch, wait));
+        FLEETIO_PROBE(dev_.probe(),
+                      ioDispatch(eq.now(), vid, op.req->trace_id, ch,
+                                 wait));
         if (use_stride_)
             stride_.charge(vid);
         auto bit = buckets_.find(vid);
@@ -323,39 +308,22 @@ IoScheduler::pump(ChannelId ch)
             pump(ch);
         };
         {
-            // Arm the attribution hub for this page: the device notes
-            // the op's exact wait/service split against this tenant,
-            // with foreign (harvested-channel) ops leaving harvest
-            // occupancy segments for their victims' ledgers.
-            FLEETIO_ATTR_SCOPE(dev_.attribution(), vid,
-                               op.foreign ? obs::SegKind::kHarvestOp
-                                          : obs::SegKind::kHostOp);
+            // Arm attribution for this page: the device notes its exact
+            // wait/service split against this tenant; foreign ops leave
+            // harvest occupancy segments for their victims' ledgers.
+            FLEETIO_PROBE_SCOPE(dev_.probe(), vid,
+                                op.foreign ? obs::SegKind::kHarvestOp
+                                           : obs::SegKind::kHostOp);
             if (req->type == IoType::kRead)
                 dev_.issueRead(op.ppa, std::move(done));
             else
                 dev_.issueProgram(op.ppa, std::move(done));
         }
-        FLEETIO_ATTR_EVENT(
-            dev_.attribution(),
-            finishHostPage(op.enqueue_time - req->submit_time, wait,
-                           req->attr_stages, &req->attr_complete));
+        FLEETIO_PROBE(dev_.probe(),
+                      ioPageIssued(op.enqueue_time - req->submit_time,
+                                   wait, req->attr_stages,
+                                   &req->attr_complete));
     }
-}
-
-IoScheduler::TenantMetrics &
-IoScheduler::tenantMetrics(VssdId id)
-{
-    if (tenant_metrics_.size() <= id)
-        tenant_metrics_.resize(id + 1);
-    TenantMetrics &tm = tenant_metrics_[id];
-    if (tm.latency == nullptr) {
-        const std::string prefix = "t" + std::to_string(id) + ".";
-        tm.latency = &metrics_->histogram(prefix + "latency_ns");
-        tm.read_bytes = &metrics_->counter(prefix + "bytes_read");
-        tm.write_bytes = &metrics_->counter(prefix + "bytes_written");
-        tm.requests = &metrics_->counter(prefix + "requests");
-    }
-    return tm;
 }
 
 void

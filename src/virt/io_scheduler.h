@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/sim/types.h"
 #include "src/ssd/flash_device.h"
 #include "src/virt/io_request.h"
@@ -115,17 +114,6 @@ class IoScheduler
     std::uint64_t dispatchedOps() const { return dispatched_ops_; }
 
     /**
-     * Attach a metrics registry (nullptr = off, the default). Completed
-     * requests then feed per-tenant "t<id>.latency_ns" histograms and
-     * "t<id>.bytes_read/bytes_written/requests" counters.
-     */
-    void setMetrics(obs::MetricsRegistry *m)
-    {
-        metrics_ = m;
-        tenant_metrics_.clear();
-    }
-
-    /**
      * Observer invoked once per completed (acknowledged) request,
      * alongside the request's own on_complete. The crash harness uses
      * it as the acked-write ledger: anything acknowledged through this
@@ -166,18 +154,8 @@ class IoScheduler
     /** Per-channel queues, one deque per vSSD. */
     using ChannelQueues = std::vector<std::deque<PageOp>>;
 
-    /** Cached per-tenant metric handles (built lazily per vSSD). */
-    struct TenantMetrics
-    {
-        obs::WindowedHistogram *latency = nullptr;
-        obs::Counter *read_bytes = nullptr;
-        obs::Counter *write_bytes = nullptr;
-        obs::Counter *requests = nullptr;
-    };
-
     void enqueuePage(IoRequestPtr req, Lpa lpa);
     bool isForeign(const Ftl &ftl, Ppa ppa) const;
-    TenantMetrics &tenantMetrics(VssdId id);
     void enqueueOp(ChannelId ch, VssdId vssd, PageOp op);
     void completeZeroFill(IoRequestPtr req);
     void onPageDone(IoRequestPtr req);
@@ -205,8 +183,6 @@ class IoScheduler
     std::uint64_t queued_ops_ = 0;
     std::uint64_t dispatched_ops_ = 0;
 
-    obs::MetricsRegistry *metrics_ = nullptr;
-    std::vector<TenantMetrics> tenant_metrics_;  // [vssd]
     CompletionTap completion_tap_;
 };
 

@@ -9,6 +9,7 @@
 
 #include "src/obs/attribution.h"
 #include "src/obs/drift.h"
+#include "src/obs/probe.h"
 #include "src/sim/types.h"
 
 namespace fleetio {
@@ -437,16 +438,22 @@ TEST(Attribution, WriteJsonEmitsSchemaAndHarvestNotes)
 
 TEST(Attribution, MacrosCompileToNothingWithoutAHub)
 {
-    // The null-guard macro must evaluate its receiver once and skip
-    // the call entirely on nullptr — this is the byte-identity
-    // contract's runtime half.
-    AttributionHub *hub = nullptr;
-    FLEETIO_ATTR_EVENT(hub, noteHarvest(0, HarvestNote::kCreated));
+    // The null-guard macros must evaluate the probe once and skip the
+    // call entirely on nullptr — this is the byte-identity contract's
+    // runtime half. A probe without a hub drops attribution events.
+    obs::Probe *null_probe = nullptr;
+    FLEETIO_PROBE(null_probe,
+                  gsbEvent(0, obs::TraceEventType::kGsbHarvest, 0, 1, 2));
     {
-        FLEETIO_ATTR_SCOPE(hub, 0, SegKind::kGcOp);
+        FLEETIO_PROBE_SCOPE(null_probe, 0, SegKind::kGcOp);
     }
-    (void)hub;  // unused when FLEETIO_OBS_ATTRIBUTION=OFF
-    SUCCEED();
+    obs::Probe no_hub;
+    FLEETIO_PROBE(&no_hub,
+                  gsbEvent(0, obs::TraceEventType::kGsbHarvest, 0, 1, 2));
+    {
+        FLEETIO_PROBE_SCOPE(&no_hub, 0, SegKind::kGcOp);
+    }
+    EXPECT_FALSE(no_hub.active());
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ TEST(AnalyzeRegistry, ExposesSemanticRulesWithIssueTags)
 TEST(AnalyzeIr, ParsesTheFixtureTree)
 {
     const Result r = runAll();
-    EXPECT_EQ(r.files_scanned, 5u);
+    EXPECT_EQ(r.files_scanned, 6u);
     EXPECT_GT(r.functions.size(), 20u);
     EXPECT_GT(r.edges.size(), 10u);
 }
@@ -215,6 +215,15 @@ TEST(DeterminismTaint, UnorderedIterationIntoResultSink)
     EXPECT_TRUE(anyMentions(vs, "experiment results"));
     EXPECT_TRUE(anyMentions(vs,
                             "Collector::summarize -> Collector::fill"));
+}
+
+TEST(DeterminismTaint, UnorderedIterationIntoProbeSink)
+{
+    const Result r = runRule("determinism-taint");
+    const auto vs = inFile(r, "determinism-taint", "probe_sink.cc");
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_TRUE(anyMentions(vs, "FLEETIO_PROBE"));
+    EXPECT_TRUE(anyMentions(vs, "Emitter::total -> Emitter::emit"));
 }
 
 TEST(DeterminismTaint, ReasonedAllowSilencesTheSource)

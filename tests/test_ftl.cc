@@ -176,8 +176,9 @@ TEST_F(FtlTest, NeedsGcBelowThreshold)
             break;
     }
     // The loop exits either by hitting the threshold or logical space.
-    if (ftl_.freeQuotaRatio() < geo_.gc_free_threshold)
+    if (ftl_.freeQuotaRatio() < geo_.gc_free_threshold) {
         EXPECT_TRUE(ftl_.needsGc());
+    }
 }
 
 /** A fake harvested write source for testing the external path. */

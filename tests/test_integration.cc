@@ -74,8 +74,9 @@ TEST(Integration, FleetIoSitsInsideTheTradeoff)
               sw.meanLatencySensitiveP99());
     // And the LS tenant keeps its SLO violations moderate.
     for (const auto &t : fl.tenants) {
-        if (!t.bandwidth_intensive)
+        if (!t.bandwidth_intensive) {
             EXPECT_LT(t.slo_violation, 0.15);
+        }
     }
 }
 

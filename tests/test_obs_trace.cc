@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/probe.h"
 #include "src/obs/trace.h"
 
 namespace fleetio {
@@ -217,11 +218,14 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDrops)
 
 TEST(TraceRecorder, MacroIsANoOpOnNullRecorder)
 {
-    TraceRecorder *null_tracer = nullptr;
     // Must compile and do nothing (the guard every instrumentation
-    // site in the simulator relies on).
-    FLEETIO_TRACE_EVENT(null_tracer, windowBoundary(123, 0));
-    SUCCEED();
+    // site in the simulator relies on): a null probe skips the call,
+    // and a probe with no recorder installed drops the event.
+    obs::Probe *null_probe = nullptr;
+    FLEETIO_PROBE(null_probe, windowBoundary(123, 0));
+    obs::Probe no_recorder;
+    FLEETIO_PROBE(&no_recorder, windowBoundary(123, 0));
+    EXPECT_FALSE(no_recorder.active());
 }
 
 TEST(TraceRecorder, CountsEventsAndNamesTracks)

@@ -22,8 +22,9 @@ TEST(StripCode, PreservesLengthAndNewlines)
     const std::string out = stripCode(in);
     ASSERT_EQ(out.size(), in.size());
     for (std::size_t i = 0; i < in.size(); ++i) {
-        if (in[i] == '\n')
+        if (in[i] == '\n') {
             EXPECT_EQ(out[i], '\n') << "newline lost at " << i;
+        }
     }
 }
 

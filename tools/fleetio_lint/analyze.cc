@@ -1840,11 +1840,10 @@ Engine::checkTaint()
     }
     // Sink classification.
     static const char *kSinkIdents[] = {
-        "ExperimentResult", "FLEETIO_TRACE_EVENT",
-        "FLEETIO_ATTR_EVENT", "MetricsRegistry", "TraceRecorder",
-        "AttributionHub"};
+        "ExperimentResult", "FLEETIO_PROBE", "Probe", "MetricsRegistry",
+        "TraceRecorder", "AttributionHub"};
     static const std::set<std::string> kSinkClasses = {
-        "TraceRecorder", "MetricsRegistry", "AttributionHub"};
+        "Probe", "TraceRecorder", "MetricsRegistry", "AttributionHub"};
     auto sinkDesc = [&](int i) -> std::string {
         const FnInfo &f = m_.fns[i];
         if (!live_[i] || !f.node.is_defined)

@@ -24,8 +24,10 @@ const std::vector<RuleInfo> kRules = {
     {"hotpath", "R2",
      "no std::function / iostream / throwing std::stoi-family in "
      "src/{sim,ssd,virt}"},
-    {"trace-macro", "R3",
-     "TraceRecorder emits outside src/obs go through FLEETIO_TRACE_EVENT"},
+    {"probe-macro", "R3",
+     "instrumentation emits (obs::Probe events, TraceRecorder / "
+     "AttributionHub emits) outside src/obs go through FLEETIO_PROBE / "
+     "FLEETIO_PROBE_SCOPE"},
     {"layering", "R4",
      "src/{sim,ssd} must not include src/{rl,policies,harness,obs}; "
      "src/virt must not include the tenant control plane "
@@ -37,9 +39,6 @@ const std::vector<RuleInfo> kRules = {
     {"journal-api", "R7",
      "block-state mutations in src/{ssd,harvest} go through "
      "FlashDevice's durable* journal API"},
-    {"attr-macro", "R8",
-     "AttributionHub emits in src/{sim,ssd,virt,harvest} go through "
-     "FLEETIO_ATTR_EVENT / FLEETIO_ATTR_SCOPE"},
     {"suppression", "-",
      "fleetio-lint: allow(...) requires a non-empty reason"},
 };
@@ -366,21 +365,26 @@ checkHotPath(Ctx &ctx, FileInfo &f)
 // ----------------------------------------------------------------- R3
 
 void
-checkTraceMacro(Ctx &ctx, FileInfo &f)
+checkProbeMacro(Ctx &ctx, FileInfo &f)
 {
     if (!f.under("src/") || f.under("src/obs/"))
         return;
-    // TraceRecorder's emit-family methods. Export/introspection
-    // (writeChromeJson, eventCount, ...) are cold-path and exempt.
+    // obs::Probe events, then the TraceRecorder / AttributionHub emits
+    // behind them. Export/introspection (writeChromeJson, blame, calls,
+    // ...) is cold-path and exempt.
     static const char *kEmits[] = {
-        "ioSubmit",     "ioDispatch",     "ioComplete", "gcBatch",
-        "gcOp",         "gsbEvent",       "agentDecide", "agentReward",
-        "agentTrip",    "windowBoundary", "counterSample",
-        "setTrackName"};
+        "ioSubmit", "ioDispatch", "ioPageIssued", "ioZeroFill",
+        "ioComplete", "flashRead", "flashProgram", "flashErase",
+        "flashCrash", "enterScope", "exitScope", "gcBatch", "gsbEvent",
+        "tenantAdded", "windowBoundary", "counterSample", "agentDecide",
+        "agentReward", "agentTrip", "gcOp", "setTrackName", "noteRead",
+        "noteProgram", "noteErase", "finishHostPage", "zeroFillPage",
+        "recordRequest", "resetRequest", "noteHarvest", "pushContext",
+        "popContext"};
     for (std::size_t li = 0; li < f.code.size(); ++li) {
         const std::string &line = f.code[li];
         if (line.empty() ||
-            line.find("FLEETIO_TRACE_EVENT") != std::string::npos)
+            line.find("FLEETIO_PROBE") != std::string::npos)
             continue;
         for (const char *m : kEmits) {
             // Receiver-qualified call: `x->m(` or `x.m(`. Bare `m(`
@@ -402,12 +406,11 @@ checkTraceMacro(Ctx &ctx, FileInfo &f)
                     ++j;
                 if (j >= line.size() || line[j] != '(')
                     continue;
-                ctx.report(f, int(li) + 1, "trace-macro",
-                           std::string("raw TraceRecorder::") + m +
-                               " outside src/obs: wrap in "
-                               "FLEETIO_TRACE_EVENT(tracer, " + m +
-                               "(...)) so it null-guards and "
-                               "compiles out");
+                ctx.report(f, int(li) + 1, "probe-macro",
+                           std::string("raw instrumentation emit ") + m +
+                               " outside src/obs: use FLEETIO_PROBE("
+                               "probe, " + m + "(...)) or FLEETIO_PROBE_"
+                               "SCOPE so it null-guards and compiles out");
             }
         }
     }
@@ -643,57 +646,6 @@ checkJournalApi(Ctx &ctx, FileInfo &f)
     }
 }
 
-// ----------------------------------------------------------------- R8
-
-void
-checkAttrMacro(Ctx &ctx, FileInfo &f)
-{
-    if (!(f.under("src/sim/") || f.under("src/ssd/") ||
-          f.under("src/virt/") || f.under("src/harvest/")))
-        return;
-    // AttributionHub's emit-family methods. Export/introspection
-    // (writeJson, results, blame, ...) are cold-path and exempt.
-    static const char *kEmits[] = {
-        "noteRead",      "noteProgram",   "noteErase",
-        "finishHostPage", "zeroFillPage", "recordRequest",
-        "resetRequest",  "noteHarvest",   "pushContext",
-        "popContext"};
-    for (std::size_t li = 0; li < f.code.size(); ++li) {
-        const std::string &line = f.code[li];
-        if (line.empty() ||
-            line.find("FLEETIO_ATTR_") != std::string::npos)
-            continue;
-        for (const char *m : kEmits) {
-            // Receiver-qualified call: `x->m(` or `x.m(`. Bare `m(`
-            // is the macro's second argument — already guarded.
-            for (std::size_t pos = line.find(m);
-                 pos != std::string::npos;
-                 pos = line.find(m, pos + 1)) {
-                const bool dot = pos >= 1 && line[pos - 1] == '.';
-                const bool arrow = pos >= 2 &&
-                                   line[pos - 2] == '-' &&
-                                   line[pos - 1] == '>';
-                if (!dot && !arrow)
-                    continue;
-                std::size_t j = pos + std::string(m).size();
-                if (j < line.size() && isWordChar(line[j]))
-                    continue;
-                while (j < line.size() &&
-                       std::isspace((unsigned char)line[j]))
-                    ++j;
-                if (j >= line.size() || line[j] != '(')
-                    continue;
-                ctx.report(f, int(li) + 1, "attr-macro",
-                           std::string("raw AttributionHub::") + m +
-                               " outside src/obs: wrap in "
-                               "FLEETIO_ATTR_EVENT(hub, " + m +
-                               "(...)) or FLEETIO_ATTR_SCOPE so it "
-                               "null-guards and compiles out");
-            }
-        }
-    }
-}
-
 // ------------------------------------------------- bad suppressions
 
 void
@@ -845,16 +797,14 @@ runLint(const std::string &root, const Options &opts)
             checkNondeterminism(ctx, f);
         if (ctx.ruleEnabled("hotpath"))
             checkHotPath(ctx, f);
-        if (ctx.ruleEnabled("trace-macro"))
-            checkTraceMacro(ctx, f);
+        if (ctx.ruleEnabled("probe-macro"))
+            checkProbeMacro(ctx, f);
         if (ctx.ruleEnabled("header-hygiene"))
             checkHeaderHygiene(ctx, f);
         if (ctx.ruleEnabled("build-registration"))
             checkBuildRegistration(ctx, f);
         if (ctx.ruleEnabled("journal-api"))
             checkJournalApi(ctx, f);
-        if (ctx.ruleEnabled("attr-macro"))
-            checkAttrMacro(ctx, f);
     }
     if (ctx.ruleEnabled("layering"))
         checkLayering(ctx);

@@ -9,8 +9,10 @@
  *  - nondeterminism      (R1) banned wall-clock / libc RNG under src/
  *  - hotpath             (R2) no std::function / iostream / throwing
  *                             std::stoi-family in src/{sim,ssd,virt}
- *  - trace-macro         (R3) TraceRecorder emits outside src/obs must
- *                             go through FLEETIO_TRACE_EVENT
+ *  - probe-macro         (R3) instrumentation emits (obs::Probe events,
+ *                             TraceRecorder / AttributionHub emits)
+ *                             outside src/obs go through FLEETIO_PROBE
+ *                             / FLEETIO_PROBE_SCOPE
  *  - layering            (R4) src/{sim,ssd} must not reach
  *                             src/{rl,policies,harness,obs} headers
  *                             (include-graph transitive)
@@ -22,9 +24,6 @@
  *                             src/{ssd,harvest} (erase/retire/release/
  *                             close) go through FlashDevice's durable*
  *                             journal API, never straight at the chip
- *  - attr-macro          (R8) AttributionHub emits in
- *                             src/{sim,ssd,virt,harvest} go through
- *                             FLEETIO_ATTR_EVENT / FLEETIO_ATTR_SCOPE
  *  - suppression              an allow() without a reason is itself a
  *                             violation
  */
@@ -68,11 +67,11 @@ struct Result
 struct RuleInfo
 {
     const char *id;
-    const char *issue_tag;  ///< "R1".."R8"
+    const char *issue_tag;  ///< "R1".."R7"
     const char *summary;
 };
 
-/** The rule registry, in R1..R8 order. */
+/** The rule registry, in R1..R7 order. */
 const std::vector<RuleInfo> &rules();
 
 /** Lint every source file under @p root (src/, tests/, bench/,
