@@ -70,7 +70,7 @@ Gsb::allocatePage(Ppa &out)
 bool
 Gsb::exhausted() const
 {
-    return !in_use_ || sb_.freePages() == 0;
+    return !in_use_ || sb_.exhausted();
 }
 
 }  // namespace fleetio

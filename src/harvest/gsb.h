@@ -53,7 +53,7 @@ class Gsb : public ExternalWriteSource
 
     /** Fully written: offers no further write capacity but keeps
      *  sharing its channels' read bandwidth until reclaimed. */
-    bool spent() const { return sb_.freePages() == 0; }
+    bool spent() const { return sb_.exhausted(); }
 
     /** Live (valid) pages across the gSB's blocks — the copyback cost
      *  of reclaiming it now. */

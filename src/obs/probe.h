@@ -201,12 +201,12 @@ class ProbeScope
   public:
     ProbeScope(Probe *probe, VssdId tenant, SegKind kind) : probe_(probe)
     {
-        if (probe_ != nullptr)
+        if (probe_ != nullptr) [[unlikely]]
             probe_->enterScope(tenant, kind);
     }
     ~ProbeScope()
     {
-        if (probe_ != nullptr)
+        if (probe_ != nullptr) [[unlikely]]
             probe_->exitScope();
     }
     ProbeScope(const ProbeScope &) = delete;
@@ -236,7 +236,7 @@ class ProbeScope
 #define FLEETIO_PROBE(probe_expr, call)                                   \
     do {                                                                  \
         ::fleetio::obs::Probe *fio_probe__ = (probe_expr);                \
-        if (fio_probe__ != nullptr)                                       \
+        if (fio_probe__ != nullptr) [[unlikely]]                          \
             fio_probe__->call;                                            \
     } while (0)
 #define FLEETIO_PROBE_SCOPE(probe_expr, tenant, kind)                     \

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/sim/inline_function.h"
@@ -22,10 +21,14 @@ namespace fleetio {
  * which keeps runs reproducible across platforms. The queue owns the
  * simulated clock: now() only advances when events are dispatched.
  *
- * Callbacks are stored in an InlineFunction sized so every callback the
- * simulator schedules (including the FlashDevice completion wrappers,
- * which embed a nested device callback) lives inline in the heap's
- * vector — no per-event malloc/free.
+ * Storage is split in two. Callbacks live in a slab of Callback slots
+ * recycled through a free list: each is written into its slot once at
+ * scheduling and moved out once at dispatch, before it runs (a running
+ * callback may schedule more and so grow the slab). Ordering is a binary
+ * min-heap of 16-B {when, seq:slot} keys, so a sift copies two words
+ * instead of relocating a type-erased callback. Callback is sized so
+ * every per-page callback the simulator schedules fits inline: no
+ * per-event malloc/free.
  */
 class EventQueue
 {
@@ -35,7 +38,7 @@ class EventQueue
 
     using Callback = InlineFunction<void(), kInlineCallbackBytes>;
 
-    EventQueue() = default;
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -63,7 +66,7 @@ class EventQueue
     /** Timestamp of the next event, or kTimeNever when empty. */
     SimTime nextEventTime() const
     {
-        return heap_.empty() ? kTimeNever : heap_.top().when;
+        return heap_.empty() ? kTimeNever : heap_.front().when;
     }
 
     /**
@@ -103,7 +106,7 @@ class EventQueue
     bool halted() const { return halted_; }
 
     /** Discard every pending event (volatile state lost at power-off). */
-    void clearPending() { heap_ = {}; }
+    void clearPending();
 
     /**
      * Hook invoked after every dispatched event (crash-by-event-count
@@ -115,25 +118,37 @@ class EventQueue
     }
 
   private:
-    struct Event
+    /** Low bits of Key::order holding the slab slot. */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+
+    /**
+     * Heap entry. @c order is (seq << kSlotBits) | slot: seq is unique,
+     * so ordering by (when, order) is ordering by (when, seq) — FIFO
+     * within a timestamp — and the slot rides along for free.
+     */
+    struct Key
     {
         SimTime when;
-        std::uint64_t seq;  // tie-break: FIFO within a timestamp
-        Callback cb;
+        std::uint64_t order;
     };
 
-    struct Later
+    /** (when, order) lexicographically, as one 128-bit compare. */
+    static bool
+    before(const Key &a, const Key &b)
     {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        using U = unsigned __int128;
+        return ((U(a.when) << 64) | a.order) < ((U(b.when) << 64) | b.order);
+    }
 
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
+    /** Place @p k at hole @p i, moving parents down past it. */
+    void siftUp(std::size_t i, Key k);
+    /** Place @p k at hole @p i, moving smaller children up past it. */
+    void siftDown(std::size_t i, Key k);
+
+    std::vector<Key> heap_;            // binary min-heap
+    std::vector<Callback> slab_;       // [slot]; null when free
+    std::vector<std::uint32_t> free_;  // free slots, reused LIFO
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t dispatched_ = 0;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -54,6 +55,7 @@ class InlineFunction<R(Args...), Capacity>
             ::new (static_cast<void *>(buf_)) Fn *(boxed);
             invoke_ = &invokeBoxed<Fn>;
             manage_ = &manageBoxed<Fn>;
+            ++boxed_count_;
         }
     }
 
@@ -112,7 +114,16 @@ class InlineFunction<R(Args...), Capacity>
                std::is_nothrow_move_constructible_v<F>;
     }
 
+    /**
+     * Callables of this signature and capacity boxed so far on the
+     * calling thread. Boxing is silent by design, so tests read this
+     * to prove a path stays allocation-free.
+     */
+    static std::uint64_t boxedCount() noexcept { return boxed_count_; }
+
   private:
+    static inline thread_local std::uint64_t boxed_count_ = 0;
+
     using Invoke = R (*)(void *, Args...);
     /** dst==nullptr: destroy src. Otherwise: move-construct dst from
      *  src and destroy src (relocation). */

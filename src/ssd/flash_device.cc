@@ -39,7 +39,7 @@ FlashDevice::maybeSlowDown(FlashChip &chp)
 }
 
 SimTime
-FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
+FlashDevice::reserveRead(Ppa ppa, bool host)
 {
     const ChannelId ch = geo_.channelOf(ppa);
     const ChipId cp = geo_.chipOf(ppa);
@@ -76,24 +76,15 @@ FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
     if (host) {
         chan.addOutstanding();
         ++host_reads_;
-        eq_.scheduleAt(complete,
-                       [this, ch, cb = std::move(done)]() mutable {
-                           channels_[ch].removeOutstanding();
-                           if (cb)
-                               cb();
-                       });
     } else {
         ++gc_reads_;
-        // No bookkeeping on completion: schedule the callback itself
-        // (the event queue tolerates a null one), skipping a wrapper
-        // indirection.
-        eq_.scheduleAt(complete, std::move(done));
     }
     return complete;
 }
 
 SimTime
-FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
+FlashDevice::issueProgramImpl(Ppa ppa, EventQueue::Callback done,
+                              bool host)
 {
     const ChannelId ch = geo_.channelOf(ppa);
     const ChipId cp = geo_.chipOf(ppa);
@@ -133,31 +124,30 @@ FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
 }
 
 SimTime
-FlashDevice::issueRead(Ppa ppa, Callback done)
-{
-    return issueReadImpl(ppa, std::move(done), /*host=*/true);
-}
-
-SimTime
-FlashDevice::issueProgram(Ppa ppa, Callback done)
+FlashDevice::issueProgram(Ppa ppa, EventQueue::Callback done)
 {
     return issueProgramImpl(ppa, std::move(done), /*host=*/true);
 }
 
 SimTime
-FlashDevice::issueGcRead(Ppa ppa, Callback done)
+FlashDevice::issueGcRead(Ppa ppa, EventQueue::Callback done)
 {
-    return issueReadImpl(ppa, std::move(done), /*host=*/false);
+    // No bookkeeping on completion: the callback is the event itself
+    // (the event queue tolerates a null one).
+    const SimTime complete = reserveRead(ppa, /*host=*/false);
+    eq_.scheduleAt(complete, std::move(done));
+    return complete;
 }
 
 SimTime
-FlashDevice::issueGcProgram(Ppa ppa, Callback done)
+FlashDevice::issueGcProgram(Ppa ppa, EventQueue::Callback done)
 {
     return issueProgramImpl(ppa, std::move(done), /*host=*/false);
 }
 
 SimTime
-FlashDevice::issueErase(ChannelId ch, ChipId cp, Callback done)
+FlashDevice::issueErase(ChannelId ch, ChipId cp,
+                        EventQueue::Callback done)
 {
     FlashChip &chp = chip(ch, cp);
     maybeSlowDown(chp);

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 // fleetio-lint: allow(layering): instrumentation is deliberately
@@ -48,14 +50,6 @@ struct RmapEntry
 class FlashDevice
 {
   public:
-    /**
-     * Completion callback. Sized so that the host-op wrapper the device
-     * schedules around it (callback + bookkeeping captures) still fits
-     * in the event queue's inline storage — the whole completion path
-     * is allocation-free.
-     */
-    static constexpr std::size_t kCallbackInlineBytes = 48;
-    using Callback = InlineFunction<void(), kCallbackInlineBytes>;
     using SlotFreedFn = InlineFunction<void(ChannelId), 24>;
 
     FlashDevice(const SsdGeometry &geo, EventQueue &eq);
@@ -72,30 +66,37 @@ class FlashDevice
 
     /**
      * Issue a page read at @p ppa. Counts against the channel's
-     * outstanding ops until completion. @return completion time.
+     * outstanding ops until completion, when @p done (a callable or
+     * nullptr) runs. The completion event is built around @p done's
+     * own type, so the device's bookkeeping and the caller's callable
+     * share one inline Callback. @return completion time.
      */
-    SimTime issueRead(Ppa ppa, Callback done);
+    template <typename F>
+    SimTime issueRead(Ppa ppa, F &&done);
 
     /**
-     * Issue a page program at @p ppa (placement already chosen).
-     * @return completion time.
+     * Issue a page program at @p ppa (placement already chosen). This
+     * and the calls below take the event queue's own Callback, which
+     * becomes the completion event as-is (never wrapped in a second
+     * type-erased callable). @return completion time.
      */
-    SimTime issueProgram(Ppa ppa, Callback done);
+    SimTime issueProgram(Ppa ppa, EventQueue::Callback done);
 
     /**
      * Issue a block erase. Chip-only occupancy; does not change block
      * state — the caller erases metadata in @p done.
      * @return completion time.
      */
-    SimTime issueErase(ChannelId ch, ChipId chip, Callback done);
+    SimTime issueErase(ChannelId ch, ChipId chip,
+                       EventQueue::Callback done);
 
     /**
      * Internal (GC) variants: same timing, but not counted against the
      * channel queue depth — copyback traffic competes for the bus and
      * chip directly, modelling GC interference with host I/O.
      */
-    SimTime issueGcRead(Ppa ppa, Callback done);
-    SimTime issueGcProgram(Ppa ppa, Callback done);
+    SimTime issueGcRead(Ppa ppa, EventQueue::Callback done);
+    SimTime issueGcProgram(Ppa ppa, EventQueue::Callback done);
 
     /** True when the channel can accept another host op (QD limit). */
     bool canDispatch(ChannelId ch) const
@@ -254,8 +255,13 @@ class FlashDevice
     double writeAmplification() const;
 
   private:
-    SimTime issueReadImpl(Ppa ppa, Callback done, bool host);
-    SimTime issueProgramImpl(Ppa ppa, Callback done, bool host);
+    /**
+     * Reserve the chip and bus for a page read and count it (a host
+     * read also takes a channel dispatch slot). @return completion time.
+     */
+    SimTime reserveRead(Ppa ppa, bool host);
+    SimTime issueProgramImpl(Ppa ppa, EventQueue::Callback done,
+                             bool host);
 
     /** Consult the injector for a slow-down window on @p chp. */
     void maybeSlowDown(FlashChip &chp);
@@ -277,5 +283,26 @@ class FlashDevice
     std::uint64_t gc_writes_ = 0;
     std::uint64_t erases_ = 0;
 };
+
+template <typename F>
+SimTime
+FlashDevice::issueRead(Ppa ppa, F &&done)
+{
+    const ChannelId ch = geo_.channelOf(ppa);
+    const SimTime complete = reserveRead(ppa, /*host=*/true);
+    if constexpr (std::is_null_pointer_v<std::decay_t<F>>) {
+        eq_.scheduleAt(complete,
+                       [this, ch] { channels_[ch].removeOutstanding(); });
+    } else {
+        auto event = [this, ch, cb = std::forward<F>(done)]() mutable {
+            channels_[ch].removeOutstanding();
+            cb();
+        };
+        static_assert(EventQueue::Callback::fitsInline<decltype(event)>(),
+                      "host-read completion must fit a Callback inline");
+        eq_.scheduleAt(complete, std::move(event));
+    }
+    return complete;
+}
 
 }  // namespace fleetio

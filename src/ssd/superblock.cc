@@ -71,6 +71,21 @@ Superblock::freePages() const
 }
 
 bool
+Superblock::exhausted() const
+{
+    const auto &geo = dev_->geometry();
+    for (const auto &s : stripes_) {
+        for (std::size_t i = s.cursor; i < s.blocks.size(); ++i) {
+            const auto &[chip, blk] = s.blocks[i];
+            if (!dev_->chip(s.channel, chip).block(blk).isFull(
+                    geo.pages_per_block))
+                return false;
+        }
+    }
+    return true;
+}
+
+bool
 Superblock::allocateInStripe(Stripe &s, Ppa &out)
 {
     const auto &geo = dev_->geometry();

@@ -18,29 +18,31 @@ IoScheduler::IoScheduler(FlashDevice &dev, VssdManager &vssds)
 }
 
 void
+IoScheduler::setBucket(Buckets &b, VssdId id, double rate_bytes_per_sec,
+                       double burst_bytes)
+{
+    if (rate_bytes_per_sec <= 0) {
+        if (id < b.size())
+            b[id].reset();
+        return;
+    }
+    if (b.size() <= id)
+        b.resize(id + 1);
+    b[id].emplace(rate_bytes_per_sec, burst_bytes);
+}
+
+void
 IoScheduler::setRateLimit(VssdId id, double rate_bytes_per_sec,
                           double burst_bytes)
 {
-    if (rate_bytes_per_sec <= 0) {
-        buckets_.erase(id);
-        return;
-    }
-    // fleetio-analyze: allow(hot-alloc): rate reconfiguration is a control-plane event
-    buckets_[id] = std::make_unique<TokenBucket>(rate_bytes_per_sec,
-                                                 burst_bytes);
+    setBucket(buckets_, id, rate_bytes_per_sec, burst_bytes);
 }
 
 void
 IoScheduler::setTierLimit(VssdId id, double rate_bytes_per_sec,
                           double burst_bytes)
 {
-    if (rate_bytes_per_sec <= 0) {
-        tier_buckets_.erase(id);
-        return;
-    }
-    // fleetio-analyze: allow(hot-alloc): rate reconfiguration is a control-plane event
-    tier_buckets_[id] = std::make_unique<TokenBucket>(rate_bytes_per_sec,
-                                                      burst_bytes);
+    setBucket(tier_buckets_, id, rate_bytes_per_sec, burst_bytes);
 }
 
 bool
@@ -221,23 +223,19 @@ IoScheduler::pump(ChannelId ch)
         for (std::size_t vid = 0; vid < cq.size(); ++vid) {
             if (cq[vid].empty())
                 continue;
-            auto bit = buckets_.find(VssdId(vid));
-            if (bit != buckets_.end()) {
-                TokenBucket &tb = *bit->second;
-                if (tb.tokens(eq.now()) + 1e-9 < page_bytes) {
+            if (TokenBucket *tb = bucketOf(buckets_, VssdId(vid))) {
+                if (tb->tokens(eq.now()) + 1e-9 < page_bytes) {
                     earliest_token = std::min(
                         earliest_token,
-                        tb.availableAt(page_bytes, eq.now()));
+                        tb->availableAt(page_bytes, eq.now()));
                     continue;
                 }
             }
-            auto tbit = tier_buckets_.find(VssdId(vid));
-            if (tbit != tier_buckets_.end()) {
-                TokenBucket &tb = *tbit->second;
-                if (tb.tokens(eq.now()) + 1e-9 < page_bytes) {
+            if (TokenBucket *tb = bucketOf(tier_buckets_, VssdId(vid))) {
+                if (tb->tokens(eq.now()) + 1e-9 < page_bytes) {
                     earliest_token = std::min(
                         earliest_token,
-                        tb.availableAt(page_bytes, eq.now()));
+                        tb->availableAt(page_bytes, eq.now()));
                     continue;
                 }
             }
@@ -295,18 +293,18 @@ IoScheduler::pump(ChannelId ch)
                                  wait));
         if (use_stride_)
             stride_.charge(vid);
-        auto bit = buckets_.find(vid);
-        if (bit != buckets_.end())
-            bit->second->tryConsume(page_bytes, eq.now());
-        auto tbit = tier_buckets_.find(vid);
-        if (tbit != tier_buckets_.end())
-            tbit->second->tryConsume(page_bytes, eq.now());
+        if (TokenBucket *tb = bucketOf(buckets_, vid))
+            tb->tryConsume(page_bytes, eq.now());
+        if (TokenBucket *tb = bucketOf(tier_buckets_, vid))
+            tb->tryConsume(page_bytes, eq.now());
 
         IoRequestPtr req = op.req;
         auto done = [this, req, ch]() {
             onPageDone(req);
             pump(ch);
         };
+        static_assert(EventQueue::Callback::fitsInline<decltype(done)>(),
+                      "page completion must fit a Callback inline");
         {
             // Arm attribution for this page: the device notes its exact
             // wait/service split against this tenant; foreign ops leave

@@ -10,8 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -163,11 +162,21 @@ class IoScheduler
     void retryBlocked();
     void scheduleTokenPump(ChannelId ch, SimTime when);
 
+    /** Token buckets indexed by VssdId; empty = no limit. */
+    using Buckets = std::vector<std::optional<TokenBucket>>;
+
+    static void setBucket(Buckets &b, VssdId id, double rate_bytes_per_sec,
+                          double burst_bytes);
+    static TokenBucket *bucketOf(Buckets &b, VssdId id)
+    {
+        return id < b.size() && b[id] ? &*b[id] : nullptr;
+    }
+
     FlashDevice &dev_;
     VssdManager &vssds_;
     std::vector<ChannelQueues> queues_;  // [channel][vssd]
-    std::unordered_map<VssdId, std::unique_ptr<TokenBucket>> buckets_;
-    std::unordered_map<VssdId, std::unique_ptr<TokenBucket>> tier_buckets_;
+    Buckets buckets_;       // policy rate limits
+    Buckets tier_buckets_;  // G-state caps
     std::vector<std::uint64_t> inflight_reqs_;  // [vssd]
     StrideScheduler stride_;
     std::vector<BlockedWrite> blocked_;

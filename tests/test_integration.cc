@@ -97,6 +97,44 @@ TEST(Integration, FleetIoHarvestsDuringTheRun)
     EXPECT_GT(tb.gsb().harvestedCount(), 0u);
 }
 
+TEST(Integration, PerEventCallbacksStayInline)
+{
+    // Every per-page callback (workload arrival, zero-fill, pump
+    // completion and its host-read event, GC read and program, erase)
+    // must fit EventQueue::Callback inline: one that outgrew it would
+    // box silently, one malloc per event.
+    const std::uint64_t boxed_before = EventQueue::Callback::boxedCount();
+    ExperimentSpec spec = baseSpec(PolicyKind::kFleetIo);
+    Testbed tb(spec.opts);
+    auto policy = makePolicy(spec.policy);
+    std::vector<SimTime> slos{msec(2), msec(30)};
+    policy->setup(tb, spec.workloads, slos);
+    tb.warmupFill();
+    tb.startWorkloads();
+    tb.run(sec(1));
+    policy->prepare(tb);
+    // A read of a trimmed page is answered by the mapping table.
+    Vssd &v = *tb.vssds().active().front();
+    v.ftl().trim(0);
+    auto req = std::make_shared<IoRequest>();
+    req->vssd = v.id();
+    bool zero_filled = false;
+    req->on_complete = [&zero_filled](const IoRequest &, SimTime) {
+        zero_filled = true;
+    };
+    tb.scheduler().submit(req);
+    tb.run(msec(1));
+    EXPECT_TRUE(zero_filled);
+    const FlashDevice &dev = tb.device();
+    EXPECT_GT(dev.hostReads(), 0u);
+    EXPECT_GT(dev.hostWrites(), 0u);
+    EXPECT_GT(dev.gcReads(), 0u);
+    EXPECT_GT(dev.gcWrites(), 0u);
+    EXPECT_GT(dev.erases(), 0u);
+    EXPECT_GT(tb.gsb().harvestedCount(), 0u);
+    EXPECT_EQ(EventQueue::Callback::boxedCount(), boxed_before);
+}
+
 TEST(Integration, DeterministicForFixedSeed)
 {
     ExperimentSpec spec = baseSpec(PolicyKind::kHardwareIsolation);
