@@ -52,6 +52,19 @@ class SloCache
         FLEETIO_GUARDED_BY(mu_);
 };
 
+/** Close trace artifact @p os and name @p path on stderr when it was
+ *  not written (say, FLEETIO_TRACE_DIR is not an existing directory).
+ *  @return true when the artifact was written. */
+bool
+closeArtifact(std::ofstream &os, const std::string &path)
+{
+    os.close();
+    if (os)
+        return true;
+    std::fprintf(stderr, "fleetio: could not write %s\n", path.c_str());
+    return false;
+}
+
 }  // namespace
 
 double
@@ -247,27 +260,35 @@ runExperiment(const ExperimentSpec &spec)
         const std::string base = obs::traceDirFromEnv() +
                                  "/fleetio_run" + std::to_string(n);
         if (tb.tracer() != nullptr) {
-            std::ofstream os(base + ".trace.json");
+            const std::string path = base + ".trace.json";
+            std::ofstream os(path);
             tb.tracer()->writeChromeJson(os);
-            if (tb.tracer()->droppedCount() > 0) {
+            if (closeArtifact(os, path) &&
+                tb.tracer()->droppedCount() > 0) {
                 std::fprintf(stderr,
                              "fleetio: trace ring overwrote %llu "
-                             "event(s) (%s.trace.json is truncated; "
+                             "event(s) (%s is truncated; "
                              "raise obs.trace_capacity)\n",
                              (unsigned long long)
                                  tb.tracer()->droppedCount(),
-                             base.c_str());
+                             path.c_str());
             }
         }
         if (tb.attribution() != nullptr) {
-            std::ofstream os(base + ".attribution.json");
+            const std::string path = base + ".attribution.json";
+            std::ofstream os(path);
             tb.attribution()->writeJson(os, tb.drift());
+            closeArtifact(os, path);
         }
         if (tb.metrics() != nullptr) {
-            std::ofstream csv(base + ".metrics.csv");
+            const std::string csv_path = base + ".metrics.csv";
+            std::ofstream csv(csv_path);
             tb.metrics()->writeCsv(csv);
-            std::ofstream js(base + ".metrics.json");
+            closeArtifact(csv, csv_path);
+            const std::string js_path = base + ".metrics.json";
+            std::ofstream js(js_path);
             tb.metrics()->writeJson(js);
+            closeArtifact(js, js_path);
         }
     }
 

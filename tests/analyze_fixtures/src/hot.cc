@@ -21,6 +21,8 @@ EventQueue::dispatchOne()
     Runner r;
     r.arm();
     r.fire();
+    Pump p;
+    p.fire();
 }
 
 int
@@ -93,6 +95,15 @@ Runner::arm()
         int *leak = new int(7);
         (void)leak;
     });
+}
+
+void
+Pump::arm()
+{
+    // Not called on the hot path: its lambda is reached only by
+    // resolving Pump::Callback -> EventQueue::Callback.
+    int ticks = 0;
+    setCb([&ticks] { ++ticks; });
 }
 
 }  // namespace fixture

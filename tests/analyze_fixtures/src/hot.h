@@ -16,6 +16,7 @@ namespace fixture {
 class EventQueue
 {
   public:
+    using Callback = InlineFunction<void()>;
     void step();
 
   private:
@@ -57,6 +58,20 @@ class Runner
 
   private:
     InlineFunction<void()> cb_;
+};
+
+/** Same dispatch, typed through an alias of another class's alias:
+ *  `Callback` must resolve in Pump's scope, then to EventQueue's. */
+class Pump
+{
+  public:
+    using Callback = EventQueue::Callback;
+    void setCb(Callback cb) { cb_ = cb; }
+    void arm();
+    void fire() { cb_(); }
+
+  private:
+    Callback cb_;
 };
 
 }  // namespace fixture

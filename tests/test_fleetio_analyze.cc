@@ -150,6 +150,14 @@ TEST(HotAlloc, WidensIndirectInlineFunctionDispatchToLambdas)
     const auto vs = inFile(r, "hot-alloc", "hot.cc");
     EXPECT_TRUE(anyMentions(vs, "lambda"));
     EXPECT_TRUE(anyMentions(vs, "Runner::arm"));
+    // The same dispatch through a field typed by a class-scoped alias
+    // of another class's alias (Pump::Callback = EventQueue::Callback).
+    EXPECT_TRUE(std::any_of(
+        r.hot_reachable.begin(), r.hot_reachable.end(),
+        [](const std::string &id) {
+            return id.rfind("Pump::arm::<lambda@", 0) == 0;
+        }));
+    EXPECT_FALSE(r.calleesOf("Pump::fire").empty());
 }
 
 TEST(HotAlloc, OverloadResolutionPicksTheCalledArity)

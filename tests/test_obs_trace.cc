@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/harness/experiment.h"
 #include "src/obs/probe.h"
 #include "src/obs/trace.h"
 
@@ -356,6 +357,42 @@ TEST(TraceEnv, EnableKnobSemantics)
     setenv("FLEETIO_TRACE_DIR", "/tmp/somewhere", 1);
     EXPECT_EQ(obs::traceDirFromEnv(), "/tmp/somewhere");
     unsetenv("FLEETIO_TRACE_DIR");
+}
+
+TEST(TraceEnv, UnwritableTraceDirIsReported)
+{
+    ExperimentSpec spec;
+    spec.workloads = {WorkloadKind::kVdiWeb, WorkloadKind::kTeraSort};
+    spec.policy = PolicyKind::kHardwareIsolation;
+    spec.opts.geo = testGeometry();
+    spec.opts.window = msec(50);
+    spec.warm_run = msec(100);
+    spec.measure = msec(200);
+
+    const std::string dir =
+        ::testing::TempDir() + "fleetio_missing_trace_dir/sub";
+    setenv("FLEETIO_TRACE", "1", 1);
+    setenv("FLEETIO_TRACE_DIR", dir.c_str(), 1);
+    ::testing::internal::CaptureStderr();
+    const ExperimentResult res = runExperiment(spec);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    unsetenv("FLEETIO_TRACE");
+    unsetenv("FLEETIO_TRACE_DIR");
+
+    EXPECT_GT(res.sim_events, 0u);
+    // One line per artifact, naming the path that was not written.
+    const std::string prefix =
+        "fleetio: could not write " + dir + "/fleetio_run";
+    std::set<std::string> reported;
+    std::istringstream lines(err);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(prefix, 0) == 0)
+            reported.insert(line.substr(line.find('.', prefix.size())));
+    }
+    EXPECT_EQ(reported,
+              (std::set<std::string>{".attribution.json", ".metrics.csv",
+                                     ".metrics.json", ".trace.json"}))
+        << err;
 }
 
 }  // namespace

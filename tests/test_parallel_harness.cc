@@ -180,6 +180,14 @@ TEST(RunExperiments, ParallelIsBitIdenticalToSerialLoop)
     specs.push_back(tinySpec(WorkloadKind::kYcsbB,
                              WorkloadKind::kMlPrep,
                              PolicyKind::kSoftwareIsolation));
+    // RL cells carry the most per-thread state (training scratch), so
+    // a cell's result must not depend on which cells ran before it.
+    specs.push_back(tinySpec(WorkloadKind::kVdiWeb,
+                             WorkloadKind::kTeraSort,
+                             PolicyKind::kFleetIo));
+    specs.push_back(tinySpec(WorkloadKind::kYcsbB,
+                             WorkloadKind::kMlPrep,
+                             PolicyKind::kFleetIoUnifiedGlobal));
 
     std::vector<ExperimentResult> serial;
     serial.reserve(specs.size());
@@ -187,10 +195,17 @@ TEST(RunExperiments, ParallelIsBitIdenticalToSerialLoop)
         serial.push_back(runExperiment(s));
 
     const auto parallel = runExperiments(specs, 4);
+    const std::vector<ExperimentSpec> reversed(specs.rbegin(),
+                                               specs.rend());
+    const auto backwards = runExperiments(reversed, 1);
 
     ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
+    ASSERT_EQ(backwards.size(), serial.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         EXPECT_TRUE(identical(serial[i], parallel[i])) << "cell " << i;
+        EXPECT_TRUE(identical(serial[i], backwards[specs.size() - 1 - i]))
+            << "cell " << i << " run in reverse order";
+    }
 }
 
 TEST(CalibratedSlo, ConcurrentSameKeyCallersAgree)

@@ -227,11 +227,20 @@ struct FileIR
     std::map<int, std::vector<sm::Suppress>> allows;
 };
 
+/** `using X = ...;` */
+struct Alias
+{
+    std::string def;    ///< tokens joined with ' '
+    std::string scope;  ///< enclosing class, "" at namespace scope
+};
+
 struct Model
 {
     std::vector<FnInfo> fns;
     std::map<std::string, ClassInfo> classes;
-    std::map<std::string, std::string> aliases;  ///< using X = ...
+    /// Keyed by class-qualified name ("A::B::X"; "X" at namespace
+    /// scope), so same-named aliases of different classes coexist.
+    std::map<std::string, Alias> aliases;
     std::set<std::string> amp_names;  ///< `&ident` seen (addr-taken)
     std::vector<FileIR> files;
 };
@@ -412,17 +421,15 @@ Parser::parseScope(std::size_t i, std::size_t end,
             continue;
         }
         if (s == "using" || s == "typedef") {
-            // `using X = ...;` -> alias (recorded bare and
-            // class-qualified); anything else just skipped.
+            // `using X = ...;` -> alias keyed by its class-qualified
+            // name; anything else just skipped.
             std::size_t semi = i;
             while (semi < end && tx(semi) != ";")
                 ++semi;
             if (s == "using" && i + 2 < semi && tx(i + 2) == "=") {
-                const std::string def =
-                    joinTokens(t_, i + 3, semi);
-                m_.aliases[tx(i + 1)] = def;
-                if (!cls.empty())
-                    m_.aliases[cls + "::" + tx(i + 1)] = def;
+                const std::string key =
+                    cls.empty() ? tx(i + 1) : cls + "::" + tx(i + 1);
+                m_.aliases[key] = {joinTokens(t_, i + 3, semi), cls};
             }
             i = semi + 1;
             continue;
@@ -1205,30 +1212,88 @@ private:
     }
     static bool isLambda(const FnInfo &f) { return f.encloser >= 0; }
 
-    std::string expandType(std::string t) const
+    /** Keys of the aliases @p name ("X" or "A::X") can mean inside
+     *  class @p scope: the innermost enclosing match, retried with
+     *  leading (namespace) qualifiers dropped; failing that, every
+     *  alias named like its last component (e.g. an inherited one). */
+    std::vector<std::string> aliasKeys(std::string name,
+                                       const std::string &scope) const
     {
-        for (int pass = 0; pass < 3; ++pass) {
-            std::string extra;
-            std::istringstream is(t);
-            std::string w;
-            while (is >> w) {
-                auto it = m_.aliases.find(w);
-                if (it != m_.aliases.end() &&
-                    t.find(it->second) == std::string::npos)
-                    extra += " " + it->second;
+        for (;;) {
+            for (std::string s = scope;;) {
+                const std::string key = s.empty() ? name
+                                                  : s + "::" + name;
+                if (m_.aliases.count(key))
+                    return {key};
+                if (s.empty())
+                    break;
+                const std::size_t pos = s.rfind("::");
+                s = pos == std::string::npos ? "" : s.substr(0, pos);
             }
-            if (extra.empty())
+            const std::size_t pos = name.find("::");
+            if (pos == std::string::npos)
                 break;
-            t += extra;
+            name = name.substr(pos + 2);
         }
-        return t;
+        std::vector<std::string> out;
+        const std::string tail = "::" + name;
+        for (const auto &kv : m_.aliases) {
+            const std::string &k = kv.first;
+            if (k.size() > tail.size() &&
+                k.compare(k.size() - tail.size(), tail.size(), tail) ==
+                    0)
+                out.push_back(k);
+        }
+        return out;
     }
 
-    int universeOfType(const std::string &t) const
+    /** Append to @p out the definition of every alias named in @p t
+     *  (as seen from class @p scope), following alias chains. */
+    void appendAliases(const std::string &t, const std::string &scope,
+                       std::string &out,
+                       std::set<std::string> &seen) const
+    {
+        // Re-join `A :: B` token runs into one qualified name.
+        std::vector<std::string> names;
+        bool join = false;
+        std::istringstream is(t);
+        for (std::string w; is >> w;) {
+            if (w == "::") {
+                join = !names.empty();
+            } else if (join) {
+                names.back() += "::" + w;
+                join = false;
+            } else {
+                names.push_back(w);
+            }
+        }
+        for (const std::string &n : names) {
+            for (const std::string &key : aliasKeys(n, scope)) {
+                if (!seen.insert(key).second)
+                    continue;
+                const Alias &a = m_.aliases.at(key);
+                out += " " + a.def;
+                appendAliases(a.def, a.scope, out, seen);
+            }
+        }
+    }
+
+    /** @p t followed by the expansion of the aliases it names. */
+    std::string expandType(const std::string &t,
+                           const std::string &scope) const
+    {
+        std::string out = t;
+        std::set<std::string> seen;
+        appendAliases(t, scope, out, seen);
+        return out;
+    }
+
+    int universeOfType(const std::string &t,
+                       const std::string &scope) const
     {
         if (t.empty())
             return kNotEscaped;
-        const std::string e = expandType(t);
+        const std::string e = expandType(t, scope);
         if (sm::containsWord(e, "InlineFunction"))
             return kInline;
         if (sm::containsWord(e, "function"))
@@ -1237,9 +1302,10 @@ private:
     }
 
     /** Last word of (expanded) @p t naming a known class. */
-    std::string classOfType(const std::string &t) const
+    std::string classOfType(const std::string &t,
+                            const std::string &scope) const
     {
-        const std::string e = expandType(t);
+        const std::string e = expandType(t, scope);
         std::istringstream is(e);
         std::string w, found;
         while (is >> w) {
@@ -1420,14 +1486,16 @@ Engine::resolveLambdas()
                 const FnInfo &g = m_.fns[t];
                 if (f.bind_arg >= 0 &&
                     f.bind_arg < int(g.params.size())) {
-                    u = universeOfType(g.params[f.bind_arg].type);
+                    u = universeOfType(g.params[f.bind_arg].type,
+                                       g.node.cls);
                     break;
                 }
             }
         } else if (!f.bind_var_type.empty()) {
-            u = universeOfType(f.bind_var_type);
+            u = universeOfType(f.bind_var_type, f.node.cls);
         } else if (!f.bind_var.empty()) {
-            u = universeOfType(varType(f.encloser, f.bind_var));
+            u = universeOfType(varType(f.encloser, f.bind_var),
+                               f.node.cls);
         }
         f.universe = u;
         if (u != kNotEscaped) {
@@ -1514,7 +1582,7 @@ Engine::resolveCall(int a, const CallRec &c,
         auto fit = cit->second.fields.find(c.name);
         if (fit == cit->second.fields.end())
             return false;
-        int u = universeOfType(fit->second.type);
+        int u = universeOfType(fit->second.type, cls);
         if (!u)
             return false;
         addIndirect(u, out);
@@ -1546,7 +1614,7 @@ Engine::resolveCall(int a, const CallRec &c,
     if (!c.recv.empty() && c.recv != "this") {
         const std::string t = varType(a, c.recv);
         if (!t.empty()) {
-            const std::string cls = classOfType(t);
+            const std::string cls = classOfType(t, caller.node.cls);
             if (!cls.empty()) {
                 if (tryFieldIndirect(cls) || tryClassMethods(cls))
                     return;
@@ -1576,7 +1644,7 @@ Engine::resolveCall(int a, const CallRec &c,
         cls = cls.substr(0, pos);
     }
     {
-        int u = universeOfType(varType(a, c.name));
+        int u = universeOfType(varType(a, c.name), caller.node.cls);
         if (u) {
             addIndirect(u, out);
             return;
@@ -1700,7 +1768,7 @@ Engine::checkLockDiscipline()
         if (!ci.confined)
             continue;
         for (const auto &[fname, fi] : ci.fields) {
-            const std::string e = expandType(fi.type);
+            const std::string e = expandType(fi.type, q);
             if (sm::containsWord(e, "mutex") ||
                 sm::containsWord(e, "shared_mutex") ||
                 sm::containsWord(e, "atomic") ||
@@ -1811,7 +1879,7 @@ Engine::checkTaint()
                 continue;
             }
             const std::string t =
-                expandType(varType(int(i), s.detail));
+                expandType(varType(int(i), s.detail), f.node.cls);
             if (t.empty())
                 continue;
             if (sm::containsWord(t, "unordered_map") ||
