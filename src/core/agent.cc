@@ -182,7 +182,7 @@ rl::PpoTrainer::Stats
 FleetIoAgent::train(const rl::Vector &bootstrap_state)
 {
     rl::PpoTrainer::Stats stats;
-    if (!training_ || rollout_.size() < cfg_.ppo.minibatch)
+    if (!readyToTrain())
         return stats;
     const auto ev = net_.evaluate(
         bootstrap_state,

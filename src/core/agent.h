@@ -67,6 +67,12 @@ class FleetIoAgent
      */
     rl::PpoTrainer::Stats train(const rl::Vector &bootstrap_state);
 
+    /** Would train() update now (training, and a minibatch stored)? */
+    bool readyToTrain() const
+    {
+        return training_ && rollout_.size() >= cfg_.ppo.minibatch;
+    }
+
     /**
      * Behaviour-cloning step: push one (state, expert action, value
      * target) sample; every config().ppo.minibatch samples an Adam

@@ -76,6 +76,7 @@ FleetIoController::attachStore(Managed &m)
 FleetIoAgent &
 FleetIoController::addVssd(Vssd &vssd, double alpha)
 {
+    lane_.reserve(managed_.size() + 1);  // waits: managed_ may move
     Managed m;
     m.vssd = &vssd;
     // fleetio-analyze: allow(hot-alloc): tenant add is a rare control-plane reconfiguration
@@ -101,6 +102,7 @@ FleetIoController::addVssd(Vssd &vssd, double alpha)
 bool
 FleetIoController::removeVssd(VssdId id)
 {
+    lane_.wait();
     for (std::size_t i = 0; i < managed_.size(); ++i) {
         if (managed_[i].vssd->id() != id)
             continue;
@@ -133,6 +135,7 @@ FleetIoController::setCheckpointDir(const std::string &dir,
 std::size_t
 FleetIoController::saveCheckpoints()
 {
+    lane_.wait();
     std::size_t saved = 0;
     for (auto &m : managed_) {
         if (m.store == nullptr)
@@ -149,6 +152,7 @@ FleetIoController::saveCheckpoints()
 std::size_t
 FleetIoController::loadCheckpoints()
 {
+    lane_.wait();
     std::size_t restored = 0;
     for (auto &m : managed_) {
         if (m.store == nullptr)
@@ -165,6 +169,7 @@ FleetIoController::loadCheckpoints()
 SupervisionStats
 FleetIoController::supervisionStats() const
 {
+    lane_.wait();
     SupervisionStats s;
     if (supervisor_ != nullptr) {
         s = supervisor_->stats();
@@ -179,6 +184,7 @@ FleetIoController::supervisionStats() const
 FleetIoAgent *
 FleetIoController::agent(VssdId id)
 {
+    lane_.wait();
     for (auto &m : managed_) {
         if (m.vssd->id() == id)
             return m.agent.get();
@@ -189,6 +195,7 @@ FleetIoController::agent(VssdId id)
 void
 FleetIoController::setTraining(bool on)
 {
+    lane_.wait();
     if (supervisor_ != nullptr) {
         // Route through the watchdog so a quarantined agent stays
         // frozen until its probation ends.
@@ -202,6 +209,7 @@ FleetIoController::setTraining(bool on)
 void
 FleetIoController::setDeterministic(bool on)
 {
+    lane_.wait();
     for (auto &m : managed_)
         m.agent->setDeterministic(on);
 }
@@ -227,6 +235,7 @@ FleetIoController::start()
 void
 FleetIoController::stop()
 {
+    lane_.wait();
     running_ = false;
     admission_.stop();
 }
@@ -282,6 +291,7 @@ FleetIoController::applyAction(Managed &m, const AgentAction &action)
 void
 FleetIoController::tick()
 {
+    lane_.wait();
     const std::size_t n = managed_.size();
     if (n == 0)
         return;
@@ -315,6 +325,10 @@ FleetIoController::tick()
     for (std::size_t i = 0; i < n; ++i) {
         Managed &m = managed_[i];
         FleetIoAgent &agent = *m.agent;
+        TrainingLane::Job &job = lane_.job(i);
+        job.agent = &agent;
+        job.imitate = false;
+        job.train = false;
 
         double reward = rewards[i];
         if (reward_hook_)
@@ -357,14 +371,16 @@ FleetIoController::tick()
         AgentAction action;
         const bool teacher_phase = windows_ <= m.teacher_until;
         if (teacher_phase && agent.training()) {
-            // Bootstrap: execute the heuristic teacher and clone it.
+            // Bootstrap: execute the heuristic teacher and clone it
+            // (the cloning step runs on the training lane).
             action = teacherAction(
                 *m.vssd, gsb_, vssds_.device().geometry(),
                 cfg_.decision_window, cfg_);
+            job.imitate = true;
+            job.state.assign(state.begin(), state.end());
+            job.actions = agent.mapper().encode(action);
             // Value target: discounted return of a steady reward.
-            const double vt =
-                reward / (1.0 - cfg_.ppo.gamma);
-            agent.imitate(state, agent.mapper().encode(action), vt);
+            job.value_target = reward / (1.0 - cfg_.ppo.gamma);
         } else if (supervisor_ != nullptr) {
             action = supervisor_->decide(
                 m.vssd->id(), state, reward, vio[i]);
@@ -410,10 +426,19 @@ FleetIoController::tick()
     // 5. Periodic fine-tuning (every train_interval_windows).
     if (cfg_.train_interval_windows > 0 &&
         windows_ % std::uint64_t(cfg_.train_interval_windows) == 0) {
-        for (auto &m : managed_) {
-            m.agent->train(extractor_.stacked(m.vssd->id()));
+        for (std::size_t i = 0; i < n; ++i) {
+            const Managed &m = managed_[i];
+            if (!m.agent->readyToTrain())
+                continue;
+            TrainingLane::Job &job = lane_.job(i);
+            job.train = true;
+            job.bootstrap = extractor_.stacked(m.vssd->id());
         }
     }
+
+    // The window's imitation and PPO steps run while the event queue
+    // simulates the next window; the next tick waits for them.
+    lane_.submit(n);
 
     // 6. Periodic crash-safe checkpoints (FLEETIO_CHECKPOINT_DIR).
     if (checkpoint_interval_ > 0 && !checkpoint_dir_.empty() &&

@@ -23,6 +23,7 @@
 #include "src/core/config.h"
 #include "src/core/reward.h"
 #include "src/core/state_extractor.h"
+#include "src/core/training_lane.h"
 #include "src/harvest/gsb_manager.h"
 #include "src/obs/drift.h"
 #include "src/obs/metrics.h"
@@ -35,6 +36,11 @@ namespace fleetio {
  * Top-level FleetIO framework object (Fig. 5). Construct it over an
  * existing virtualized-SSD substrate, add the vSSDs it should manage,
  * then start() it alongside the workloads.
+ *
+ * Agent training runs behind the simulation on a TrainingLane: each
+ * tick hands the window's imitation and PPO steps to the shared
+ * training workers, and every method that touches an agent (and the
+ * next tick) first waits for them (DESIGN.md §16).
  */
 class FleetIoController
 {
@@ -68,6 +74,7 @@ class FleetIoController
      */
     bool removeVssd(VssdId id);
 
+    /** The agent managing @p id (training finished), or nullptr. */
     FleetIoAgent *agent(VssdId id);
     std::size_t numAgents() const { return agents_.size(); }
 
@@ -98,9 +105,28 @@ class FleetIoController
     /** Mean blended reward observed over the run, per agent. */
     double lifetimeMeanReward(VssdId id) const;
 
-    /** The watchdog, or nullptr when cfg.supervisor.enabled is false. */
-    AgentSupervisor *supervisor() { return supervisor_.get(); }
-    const AgentSupervisor *supervisor() const { return supervisor_.get(); }
+    /** The watchdog, or nullptr when cfg.supervisor.enabled is false.
+     *  It holds the agents, so this waits for training too. */
+    AgentSupervisor *supervisor()
+    {
+        lane_.wait();
+        return supervisor_.get();
+    }
+    const AgentSupervisor *supervisor() const
+    {
+        lane_.wait();
+        return supervisor_.get();
+    }
+
+    /**
+     * Run agent training on @p workers instead of the process's shared
+     * pool; nullptr runs it inline on the calling thread. A test seam:
+     * both must train bit-identically.
+     */
+    void setTrainingWorkers(TrainingWorkers *workers)
+    {
+        lane_.setWorkers(workers);
+    }
 
     /**
      * Install a reward transform applied to each agent's blended reward
@@ -194,6 +220,11 @@ class FleetIoController
     bool running_ = false;
     std::uint64_t windows_ = 0;
     std::uint64_t seed_counter_ = 0x517cc1b727220a95ull;
+
+    /** Last member: destroyed first, so its destructor's wait ends
+     *  every job before the agents go. Mutable: const readers of
+     *  agent state wait too. */
+    mutable TrainingLane lane_{&TrainingWorkers::shared()};
 };
 
 }  // namespace fleetio

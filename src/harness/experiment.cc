@@ -145,6 +145,64 @@ calibratedSlo(WorkloadKind kind, std::size_t num_tenants,
 }
 
 ExperimentResult
+collectResult(Testbed &tb, Policy &policy, SimTime measure)
+{
+    ExperimentResult res;
+    res.policy = policy.name();
+    res.measured = measure;
+    res.sim_events = tb.eq().dispatched();
+    res.avg_util = tb.avgUtilization();
+    res.p95_util = tb.p95Utilization();
+    res.write_amp = tb.device().writeAmplification();
+    res.faults = tb.faultCounters();
+    res.blocks_retired = tb.device().totalRetiredBlocks();
+    res.gsb_revokes = tb.gsb().revokedCount();
+    if (tb.elastic() != nullptr)
+        res.churn = tb.elastic()->stats();
+    for (auto *v : tb.vssds().active()) {
+        res.program_fail_repairs += v->ftl().programFailRepairs();
+    }
+    for (auto *v : tb.vssds().active()) {
+        TenantResult t;
+        t.workload = tb.workload(v->id()).name();
+        t.bandwidth_intensive =
+            isBandwidthIntensive(tb.tenantKind(v->id()));
+        t.avg_bw_mbps = v->bandwidth().totalMBps(measure);
+        t.iops = double(v->latency().totalCount()) /
+                 toSeconds(measure);
+        t.p50 = v->latency().quantile(0.50);
+        t.p95 = v->latency().quantile(0.95);
+        t.p99 = v->latency().quantile(0.99);
+        t.p999 = v->latency().quantile(0.999);
+        t.slo_violation = v->latency().sloViolation();
+        t.requests = v->latency().totalCount();
+        t.slo = v->config().slo;
+        res.tenants.push_back(std::move(t));
+    }
+    if (obs::AttributionHub *hub = tb.attribution()) {
+        res.attr_requests = hub->requests();
+        res.attr_sum_mismatches = hub->sumMismatches();
+        res.slo_verdicts = hub->verdicts().size();
+        res.verdict_self_load =
+            hub->verdictCount(obs::VerdictCause::kSelfLoad);
+        res.verdict_gc = hub->verdictCount(obs::VerdictCause::kGc);
+        res.verdict_neighbor =
+            hub->verdictCount(obs::VerdictCause::kNeighbor);
+        res.verdict_tier =
+            hub->verdictCount(obs::VerdictCause::kDegradationTier);
+        res.verdict_retry =
+            hub->verdictCount(obs::VerdictCause::kFaultRetry);
+    }
+    if (obs::DriftMonitor *drift = tb.drift()) {
+        res.drift_windows_scored = drift->windowsScored();
+        res.drift_flags = drift->flaggedWindows();
+        res.max_drift_psi = drift->maxPsi();
+    }
+    policy.collectStats(res);
+    return res;
+}
+
+ExperimentResult
 runExperiment(const ExperimentSpec &spec)
 {
     // FLEETIO_TRACE=1 turns on the full obs pipeline for any run that
@@ -198,58 +256,7 @@ runExperiment(const ExperimentSpec &spec)
 
     // 6. Collect.
     prof.begin("collect", tb.eq().dispatched());
-    ExperimentResult res;
-    res.policy = policy->name();
-    res.measured = spec.measure;
-    res.sim_events = tb.eq().dispatched();
-    res.avg_util = tb.avgUtilization();
-    res.p95_util = tb.p95Utilization();
-    res.write_amp = tb.device().writeAmplification();
-    res.faults = tb.faultCounters();
-    res.blocks_retired = tb.device().totalRetiredBlocks();
-    res.gsb_revokes = tb.gsb().revokedCount();
-    if (tb.elastic() != nullptr)
-        res.churn = tb.elastic()->stats();
-    for (auto *v : tb.vssds().active()) {
-        res.program_fail_repairs += v->ftl().programFailRepairs();
-    }
-    for (auto *v : tb.vssds().active()) {
-        TenantResult t;
-        t.workload = tb.workload(v->id()).name();
-        t.bandwidth_intensive =
-            isBandwidthIntensive(tb.tenantKind(v->id()));
-        t.avg_bw_mbps = v->bandwidth().totalMBps(spec.measure);
-        t.iops = double(v->latency().totalCount()) /
-                 toSeconds(spec.measure);
-        t.p50 = v->latency().quantile(0.50);
-        t.p95 = v->latency().quantile(0.95);
-        t.p99 = v->latency().quantile(0.99);
-        t.p999 = v->latency().quantile(0.999);
-        t.slo_violation = v->latency().sloViolation();
-        t.requests = v->latency().totalCount();
-        t.slo = v->config().slo;
-        res.tenants.push_back(std::move(t));
-    }
-    if (obs::AttributionHub *hub = tb.attribution()) {
-        res.attr_requests = hub->requests();
-        res.attr_sum_mismatches = hub->sumMismatches();
-        res.slo_verdicts = hub->verdicts().size();
-        res.verdict_self_load =
-            hub->verdictCount(obs::VerdictCause::kSelfLoad);
-        res.verdict_gc = hub->verdictCount(obs::VerdictCause::kGc);
-        res.verdict_neighbor =
-            hub->verdictCount(obs::VerdictCause::kNeighbor);
-        res.verdict_tier =
-            hub->verdictCount(obs::VerdictCause::kDegradationTier);
-        res.verdict_retry =
-            hub->verdictCount(obs::VerdictCause::kFaultRetry);
-    }
-    if (obs::DriftMonitor *drift = tb.drift()) {
-        res.drift_windows_scored = drift->windowsScored();
-        res.drift_flags = drift->flaggedWindows();
-        res.max_drift_psi = drift->maxPsi();
-    }
-    policy->collectStats(res);
+    ExperimentResult res = collectResult(tb, *policy, spec.measure);
 
     // Env-enabled runs drop their artifacts next to the bench output;
     // the atomic sequence keeps parallel-harness filenames unique.

@@ -113,6 +113,14 @@ struct ExperimentSpec
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 
 /**
+ * The result of a finished run on @p tb under @p policy, measured over
+ * the last @p measure of simulated time: runExperiment's collect step,
+ * for callers that run the phases themselves.
+ */
+ExperimentResult collectResult(Testbed &tb, Policy &policy,
+                               SimTime measure);
+
+/**
  * The tail-latency SLO for @p kind when hardware-isolated among
  * @p num_tenants equal tenants: the P99 latency measured in a solo
  * calibration run (paper §3.3.1 default). Results are cached per

@@ -15,10 +15,11 @@ Testbed::Testbed(const TestbedOptions &opts)
       sched_(dev_, vssds_),
       tenant_seed_(opts.seed * 0x2545F4914F6CDD1Dull + 1)
 {
-    // Always installed: with all probabilities zero the injector never
-    // draws from its RNG, so fault-free runs stay bit-identical to a
-    // device without one.
-    dev_.setFaultInjector(&faults_);
+    // Installed only when some fault path can fire. An inert injector
+    // never draws from its RNG, so leaving it out keeps fault-free runs
+    // bit-identical and spares every op its per-op fault checks.
+    if (faults_.enabled())
+        dev_.setFaultInjector(&faults_);
     // Wire block-erase notifications from every tenant's GC into the
     // gSB manager so reclaimed gSBs shrink and eventually retire.
     vssds_.setOnErased([this](ChannelId ch, ChipId chip, BlockId blk) {

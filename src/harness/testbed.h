@@ -152,7 +152,8 @@ class Testbed
     IoScheduler &scheduler() { return sched_; }
     const TestbedOptions &options() const { return opts_; }
 
-    /** The device's fault oracle (inert when all probabilities are 0). */
+    /** The fault oracle. With all probabilities 0 it is inert and not
+     *  installed on the device; its counters then stay zero. */
     FaultInjector &faults() { return faults_; }
     const FaultCounters &faultCounters() const { return faults_.counters(); }
 

@@ -6,8 +6,9 @@
 
 namespace fleetio {
 
-IoScheduler::IoScheduler(FlashDevice &dev, VssdManager &vssds)
-    : dev_(dev), vssds_(vssds)
+IoScheduler::IoScheduler(FlashDevice &dev, VssdManager &vssds,
+                         IoRequestPool &requests)
+    : dev_(dev), vssds_(vssds), requests_(requests)
 {
     queues_.resize(dev.geometry().num_channels);
     token_pump_scheduled_.assign(dev.geometry().num_channels, false);

@@ -39,7 +39,13 @@ namespace fleetio {
 class IoScheduler
 {
   public:
-    IoScheduler(FlashDevice &dev, VssdManager &vssds);
+    /** Requests come from @p requests, by default the constructing
+     *  thread's pool. */
+    IoScheduler(FlashDevice &dev, VssdManager &vssds,
+                IoRequestPool &requests = IoRequestPool::local());
+
+    /** The pool tenant requests for this scheduler are taken from. */
+    IoRequestPool &requests() { return requests_; }
 
     /** Enable priority-level ordering (default on). */
     void usePriority(bool on) { use_priority_ = on; }
@@ -174,6 +180,7 @@ class IoScheduler
 
     FlashDevice &dev_;
     VssdManager &vssds_;
+    IoRequestPool &requests_;
     std::vector<ChannelQueues> queues_;  // [channel][vssd]
     Buckets buckets_;       // policy rate limits
     Buckets tier_buckets_;  // G-state caps

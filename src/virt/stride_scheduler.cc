@@ -8,14 +8,16 @@ namespace fleetio {
 StrideScheduler::Entry &
 StrideScheduler::entry(VssdId id)
 {
-    auto it = entries_.find(id);
-    if (it == entries_.end()) {
+    if (entries_.size() <= id)
+        entries_.resize(id + 1);
+    std::optional<Entry> &slot = entries_[id];
+    if (!slot) {
         Entry e;
         e.stride = kStrideScale;  // 1 ticket
         e.pass = global_pass_;
-        it = entries_.emplace(id, e).first;
+        slot = e;
     }
-    return it->second;
+    return *slot;
 }
 
 void
@@ -29,14 +31,15 @@ StrideScheduler::setTickets(VssdId id, double tickets)
 void
 StrideScheduler::remove(VssdId id)
 {
-    entries_.erase(id);
+    if (id < entries_.size())
+        entries_[id].reset();
 }
 
 double
 StrideScheduler::pass(VssdId id) const
 {
-    auto it = entries_.find(id);
-    return it == entries_.end() ? 0.0 : it->second.pass;
+    const Entry *e = find(id);
+    return e == nullptr ? 0.0 : e->pass;
 }
 
 void
@@ -54,11 +57,10 @@ StrideScheduler::pickMin(const std::vector<VssdId> &candidates) const
     std::size_t best = SIZE_MAX;
     double best_pass = std::numeric_limits<double>::max();
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        auto it = entries_.find(candidates[i]);
+        const Entry *e = find(candidates[i]);
         // Unregistered candidates joined "now": treat as global pass so
         // newcomers neither starve nor monopolize.
-        const double p =
-            it == entries_.end() ? global_pass_ : it->second.pass;
+        const double p = e == nullptr ? global_pass_ : e->pass;
         if (p < best_pass) {
             best_pass = p;
             best = i;

@@ -100,8 +100,10 @@ SyntheticWorkload::scheduleNextArrival()
 IoRequestPtr
 SyntheticWorkload::buildRequest()
 {
-    // fleetio-analyze: allow(hot-alloc): one boxing per request anchors its lifetime across scheduler/FTL/completion
-    auto req = std::make_shared<IoRequest>();
+    // A named pool lets fleetio-analyze follow acquire() into the
+    // pool's growth path (R10).
+    IoRequestPool &pool = sched_.requests();
+    IoRequestPtr req = pool.acquire();
     req->vssd = vssd_;
     req->type = rng_.bernoulli(profile_.read_fraction) ? IoType::kRead
                                                        : IoType::kWrite;

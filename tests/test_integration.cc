@@ -116,7 +116,7 @@ TEST(Integration, PerEventCallbacksStayInline)
     // A read of a trimmed page is answered by the mapping table.
     Vssd &v = *tb.vssds().active().front();
     v.ftl().trim(0);
-    auto req = std::make_shared<IoRequest>();
+    IoRequestPtr req = tb.scheduler().requests().acquire();
     req->vssd = v.id();
     bool zero_filled = false;
     req->on_complete = [&zero_filled](const IoRequest &, SimTime) {

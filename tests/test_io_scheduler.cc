@@ -34,7 +34,7 @@ class IoSchedulerTest : public ::testing::Test
     IoRequestPtr makeReq(VssdId v, IoType type, Lpa lpa,
                          std::uint32_t npages)
     {
-        auto req = std::make_shared<IoRequest>();
+        IoRequestPtr req = sched_.requests().acquire();
         req->vssd = v;
         req->type = type;
         req->lpa = lpa;
