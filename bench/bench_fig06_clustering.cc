@@ -162,5 +162,6 @@ main(int argc, char **argv)
     }
     std::cout << "PCA projection (cluster centroids, cf. Fig. 6):\n";
     scat.print(std::cout);
-    return report.finish(argc, argv);
+    report.writeIfEnabled(argc, argv);
+    return 0;
 }

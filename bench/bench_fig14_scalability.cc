@@ -62,5 +62,6 @@ main(int argc, char **argv)
     b.print(std::cout);
     std::cout << "\n(c) bandwidth of bandwidth-intensive workloads\n";
     c.print(std::cout);
-    return report.finish(argc, argv);
+    report.writeIfEnabled(argc, argv);
+    return 0;
 }

@@ -57,5 +57,6 @@ main(int argc, char **argv)
         }
     }
     t.print(std::cout);
-    return report.finish(argc, argv);
+    report.writeIfEnabled(argc, argv);
+    return 0;
 }

@@ -303,7 +303,7 @@ main(int argc, char **argv)
     report.addCell("fleetio/attr-on", res_on);
     report.setMetric("parity", sameResult(res_off, res_on) ? 1 : 0);
     report.setMetric("sum_mismatches", double(cd.mismatches));
-    const int regress = report.finish(argc, argv, std::cout);
+    report.writeIfEnabled(argc, argv, std::cout);
 
-    return ok ? regress : 1;
+    return ok ? 0 : 1;
 }

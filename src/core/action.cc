@@ -69,8 +69,10 @@ ActionMapper::encode(const AgentAction &action) const
         nearestLevel(harvest_levels_, action.harvest_bw_mbps),
         nearestLevel(harvestable_levels_, action.harvestable_bw_mbps),
         std::size_t(action.priority)};
-    if (tier_head_)
+    if (tier_head_) {
+        // fleetio-analyze: allow(hot-alloc): once per agent per decision window, control plane
         out.push_back(std::size_t(action.tier));
+    }
     return out;
 }
 

@@ -19,6 +19,7 @@ RecoveryManager::captureShadow() const
         t.map.resize(v->ftl().logicalPages());
         for (Lpa lpa = 0; lpa < t.map.size(); ++lpa)
             t.map[lpa] = v->ftl().lookup(lpa);
+        // fleetio-analyze: allow(hot-alloc): one shadow per injected power loss, never per I/O
         shadow.tenants.push_back(std::move(t));
     }
 

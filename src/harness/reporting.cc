@@ -9,8 +9,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "src/obs/json_reader.h"
-
 namespace fleetio {
 
 Table::Table(std::vector<std::string> headers)
@@ -290,23 +288,11 @@ bool
 BenchReport::writeIfEnabled(int argc, const char *const *argv,
                             std::ostream &log) const
 {
-    (void)finish(argc, argv, log);
-    return wrote_last_;
-}
-
-int
-BenchReport::finish(int argc, const char *const *argv,
-                    std::ostream &log) const
-{
-    wrote_last_ = false;
     bool enabled = false;
-    bool regressed = false;
     std::string dir;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0)
             enabled = true;
-        if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc)
-            regressed = compareToBaseline(argv[i + 1], log) || regressed;
     }
     if (const char *env = std::getenv("FLEETIO_BENCH_JSON")) {
         if (std::strcmp(env, "0") != 0 && *env != '\0') {
@@ -316,88 +302,19 @@ BenchReport::finish(int argc, const char *const *argv,
         }
     }
     if (!enabled)
-        return regressed ? 1 : 0;
+        return false;
     std::string path = "BENCH_" + name_ + ".json";
     if (!dir.empty())
         path = dir + (dir.back() == '/' ? "" : "/") + path;
     std::ofstream out(path);
     if (!out) {
         log << "warning: cannot write " << path << "\n";
-        return regressed ? 1 : 0;
+        return false;
     }
     writeJson(out);
     log << "wrote " << path << " (" << cells_.size() << " cells, "
         << fmtDouble(elapsedSeconds(), 2) << " s wall)\n";
-    wrote_last_ = true;
-    return regressed ? 1 : 0;
-}
-
-bool
-BenchReport::compareToBaseline(const std::string &path,
-                               std::ostream &log) const
-{
-    obs::JsonValue base;
-    std::string error;
-    if (!obs::readJsonFile(path, base, error)) {
-        log << "warning: --baseline " << path << ": " << error << "\n";
-        return false;
-    }
-    if (base.str("schema") != "fleetio-bench-v1") {
-        log << "warning: --baseline " << path
-            << ": not a fleetio-bench-v1 record\n";
-        return false;
-    }
-
-    double threshold = 10.0;
-    if (const char *env = std::getenv("FLEETIO_BENCH_REGRESS_PCT")) {
-        char *end = nullptr;
-        const double v = std::strtod(env, &end);
-        if (end != env && *end == '\0' && v > 0)
-            threshold = v;
-    }
-
-    const double wall = elapsedSeconds();
-    const std::uint64_t events = totalSimEvents();
-    struct Row
-    {
-        const char *name;
-        double baseline;
-        double current;
-    };
-    const Row rows[] = {
-        {"events_per_sec", base.num("events_per_sec"),
-         wall > 0 ? double(events) / wall : 0.0},
-        {"cells_per_sec", base.num("cells_per_sec"),
-         wall > 0 ? double(cells_.size()) / wall : 0.0},
-    };
-
-    log << "baseline compare vs " << path << " (bench \""
-        << base.str("bench") << "\", " << std::uint64_t(base.num("jobs"))
-        << " jobs; threshold " << fmtDouble(threshold, 1)
-        << "%, FLEETIO_BENCH_REGRESS_PCT):\n";
-    Table t({"metric", "baseline", "current", "delta"});
-    bool regressed = false;
-    std::string worst;
-    for (const Row &r : rows) {
-        std::string delta = "n/a";
-        if (r.baseline > 0) {
-            const double pct =
-                100.0 * (r.current - r.baseline) / r.baseline;
-            delta = (pct >= 0 ? "+" : "") + fmtDouble(pct, 1) + "%";
-            if (pct < -threshold) {
-                regressed = true;
-                worst = std::string(r.name) + " " + delta;
-            }
-        }
-        t.addRow({r.name, fmtDouble(r.baseline, 1),
-                  fmtDouble(r.current, 1), delta});
-    }
-    t.print(log);
-    if (regressed) {
-        log << "warning: REGRESSION vs baseline: " << worst
-            << " (threshold " << fmtDouble(threshold, 1) << "%)\n";
-    }
-    return regressed;
+    return true;
 }
 
 void

@@ -125,28 +125,6 @@ class BenchReport
     bool writeIfEnabled(int argc = 0, const char *const *argv = nullptr,
                         std::ostream &log = std::cerr) const;
 
-    /**
-     * End-of-main helper: runs any --baseline comparisons, writes the
-     * JSON record if enabled, and turns a detected throughput
-     * regression into a nonzero process exit code so CI fails the
-     * bench job instead of printing a warning nobody reads.
-     * @return 0 when no baseline regressed, 1 otherwise.
-     */
-    int finish(int argc, const char *const *argv,
-               std::ostream &log = std::cerr) const;
-
-    /**
-     * Compare this run's throughput against a previous fleetio-bench-v1
-     * record (--baseline <BENCH_*.json> on a bench command line routes
-     * here). Prints a regression table (events/sec, cells/sec, shared
-     * per-cell metrics) to @p log and warns when the current run is
-     * slower than the baseline by more than the threshold percentage
-     * (FLEETIO_BENCH_REGRESS_PCT, default 10).
-     * @return true when a regression beyond the threshold was found.
-     */
-    bool compareToBaseline(const std::string &path,
-                           std::ostream &log = std::cerr) const;
-
   private:
     struct Cell
     {
@@ -169,9 +147,6 @@ class BenchReport
     // fleetio-lint: allow(nondeterminism): perf-tracking wall clock —
     // measures the harness itself, never observed by the simulation.
     std::chrono::steady_clock::time_point start_;
-    /// Whether the last finish()/writeIfEnabled() wrote a JSON file
-    /// (kept out of the return value, which carries the exit code).
-    mutable bool wrote_last_ = false;
 };
 
 }  // namespace fleetio

@@ -123,6 +123,7 @@ FlashChip::retireBlock(BlockId b)
     blk.write_ptr = 0;
     blk.valid_count = 0;
     std::fill(blk.valid.begin(), blk.valid.end(), false);
+    // fleetio-analyze: allow(hot-alloc): a block retires at most once, on a fault or wear-out path
     bad_blocks_.push_back(b);
 }
 

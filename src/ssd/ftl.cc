@@ -337,6 +337,7 @@ Ftl::releaseOpenPoints()
 void
 Ftl::addExternalSource(ExternalWriteSource *src)
 {
+    // fleetio-analyze: allow(hot-alloc): once per harvested gSB, control plane
     externals_.push_back(src);
 }
 
@@ -365,9 +366,11 @@ Ftl::setChannels(const std::vector<ChannelId> &channels)
                     return p.channel == ch && p.chip == c;
                 });
             if (it != open_points_.end()) {
+                // fleetio-analyze: allow(hot-alloc): per Adaptive/SSDKeeper repartition, control plane
                 kept.push_back(*it);
                 it->valid = false;  // consumed; don't close below
             } else {
+                // fleetio-analyze: allow(hot-alloc): per Adaptive/SSDKeeper repartition, control plane
                 kept.push_back(OpenPoint{ch, c, UINT32_MAX, false,
                                          &dev_->chip(ch, c)});
             }

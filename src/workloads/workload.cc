@@ -100,10 +100,7 @@ SyntheticWorkload::scheduleNextArrival()
 IoRequestPtr
 SyntheticWorkload::buildRequest()
 {
-    // A named pool lets fleetio-analyze follow acquire() into the
-    // pool's growth path (R10).
-    IoRequestPool &pool = sched_.requests();
-    IoRequestPtr req = pool.acquire();
+    IoRequestPtr req = sched_.requests().acquire();
     req->vssd = vssd_;
     req->type = rng_.bernoulli(profile_.read_fraction) ? IoType::kRead
                                                        : IoType::kWrite;

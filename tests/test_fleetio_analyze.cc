@@ -79,7 +79,7 @@ TEST(AnalyzeRegistry, ExposesSemanticRulesWithIssueTags)
 TEST(AnalyzeIr, ParsesTheFixtureTree)
 {
     const Result r = runAll();
-    EXPECT_EQ(r.files_scanned, 6u);
+    EXPECT_EQ(r.files_scanned, 8u);
     EXPECT_GT(r.functions.size(), 20u);
     EXPECT_GT(r.edges.size(), 10u);
 }
@@ -131,6 +131,19 @@ TEST(LockDiscipline, ReasonedAllowSilencesTheFinding)
     EXPECT_GE(r.suppressions_used, 1u);
     // Exactly the four seeded R9 violations, nothing else.
     EXPECT_EQ(vs.size(), 4u);
+}
+
+TEST(LockDiscipline, FlagsGuardedAccessBeforeTheLock)
+{
+    const Result r = runRule("lock-discipline");
+    const auto vs = inFile(r, "lock-discipline", "lock_order.h");
+    // A lock anywhere in the body does not cover the access made
+    // before it; the same access after the lock stays clean.
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_TRUE(anyMentions(vs, "Counter::bumpEarly"));
+    EXPECT_TRUE(anyMentions(vs, "count_"));
+    EXPECT_TRUE(anyMentions(vs, "before taking mu_"));
+    EXPECT_FALSE(anyMentions(vs, "bumpLocked"));
 }
 
 // -------------------------------------------------------- R10 hot-alloc
@@ -198,6 +211,17 @@ TEST(HotAlloc, ReasonedAllowSilencesVectorGrowth)
     // Exactly the two seeded R10 violations: spawn + the widened
     // lambda.
     EXPECT_EQ(vs.size(), 2u);
+}
+
+TEST(HotAlloc, FollowsACallOnACallResult)
+{
+    const Result r = runRule("hot-alloc");
+    // `pool().acquire()`: the receiver is a call, so acquire is
+    // resolved by name rather than dropped.
+    EXPECT_TRUE(r.hotReachable("Pool::acquire/0"));
+    const auto vs = inFile(r, "hot-alloc", "chain.cc");
+    ASSERT_EQ(vs.size(), 1u);
+    EXPECT_TRUE(anyMentions(vs, "IoScheduler::submit -> Pool::acquire"));
 }
 
 TEST(HotAlloc, CustomRootsOverrideTheDefaults)

@@ -164,6 +164,10 @@ struct Site
     int line = 0;
 };
 
+/// CallRec::recv of a call made on a call's result (`a().b()`): there is
+/// no variable to type, so resolveCall widens it by name.
+const char *const kCallResult = "()";
+
 struct CallRec
 {
     std::string recv;  ///< `recv.name(` / `recv->name(`, "" if none
@@ -187,6 +191,7 @@ struct FnInfo
     FunctionNode node;
     std::vector<Param> params;
     std::map<std::string, int> idents;  ///< body ident -> first line
+    std::map<std::string, int> lock_lines;  ///< held mutex -> first lock
     std::vector<CallRec> calls;
     std::vector<Site> allocs;  ///< R10 sites
     std::vector<Site> taints;  ///< R11 sources
@@ -805,6 +810,7 @@ Parser::newLambda(int encloser, int line)
     // encloser holds at creation (cv.wait predicates, std::algorithm
     // comparators). Escaped lambdas get these cleared post-parse.
     lam.node.locks_held = e.node.locks_held;
+    lam.lock_lines = e.lock_lines;
     const int idx = int(m_.fns.size());
     m_.fns.push_back(std::move(lam));
     return idx;
@@ -950,6 +956,10 @@ Parser::parseBody(std::size_t i, std::size_t end, int fn)
                          (tx(p - 1) == "." || tx(p - 1) == "->") &&
                          p >= 2 && isIdentStart(tx(p - 2)[0]))
                     fr.recv = tx(p - 2);
+                else if (p > i &&
+                         (tx(p - 1) == "." || tx(p - 1) == "->") &&
+                         p >= 2 && tx(p - 2) == ")")
+                    fr.recv = kCallResult;
                 frames.push_back(fr);
             }
             continue;
@@ -959,12 +969,14 @@ Parser::parseBody(std::size_t i, std::size_t end, int fn)
                 Frame fr = frames.back();
                 frames.pop_back();
                 if (!keywordSet().count(fr.name)) {
+                    const bool named_recv =
+                        !fr.recv.empty() && fr.recv != kCallResult;
                     if (fr.name == "reserve" || fr.name == "resize") {
-                        if (!fr.recv.empty())
+                        if (named_recv)
                             f->reserved.insert(fr.recv);
                     } else if (fr.name == "push_back" ||
                                fr.name == "emplace_back") {
-                        if (!fr.recv.empty()) {
+                        if (named_recv) {
                             f->growth_recvs.insert(fr.recv);
                             f->allocs.push_back(
                                 {"vector-growth", fr.recv, fr.line});
@@ -1091,11 +1103,14 @@ Parser::parseBody(std::size_t i, std::size_t end, int fn)
                         last = tx(a);
                     if (tx(a) == "," && !last.empty()) {
                         f->node.locks_held.push_back(last);
+                        f->lock_lines.emplace(last, ln(j));
                         last.clear();
                     }
                 }
-                if (!last.empty())
+                if (!last.empty()) {
                     f->node.locks_held.push_back(last);
+                    f->lock_lines.emplace(last, ln(j));
+                }
             }
             continue;
         }
@@ -1720,6 +1735,18 @@ Engine::checkLockDiscipline()
             auto uit = f.idents.find(fname);
             if (uit == f.idents.end())
                 continue;
+            auto lit = f.lock_lines.find(fi.guarded_by);
+            if (lit != f.lock_lines.end() && uit->second < lit->second &&
+                !std::count(f.node.requires_locks.begin(),
+                            f.node.requires_locks.end(), fi.guarded_by)) {
+                report("lock-discipline", f.node.file, uit->second,
+                       "field '" + fname + "' is FLEETIO_GUARDED_BY(" +
+                           fi.guarded_by + ") but '" + qualifiedOf(f) +
+                           "' accesses it before taking " +
+                           fi.guarded_by + " at line " +
+                           std::to_string(lit->second));
+                continue;
+            }
             if (held.count(fi.guarded_by))
                 continue;
             report("lock-discipline", f.node.file, uit->second,
